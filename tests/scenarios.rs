@@ -78,6 +78,51 @@ fn suite_sweeps_partitions_and_failures_deterministically() {
     }
 }
 
+/// `fingerprint()` of every regime in the full suite at `SUITE_SEED`,
+/// recorded once and pinned. The determinism tests compare two runs of the
+/// same build; this table also catches a change that is deterministic but
+/// different — e.g. a provider stack that draws its rate-limit and flaky
+/// coins in the other order.
+const GOLDEN_FINGERPRINTS: &[(&str, u64)] = &[
+    ("iid", 0x9efefeb0ddd0fe49),
+    ("dirichlet-0.5", 0xd64c4989f39c6b02),
+    ("shards-2", 0xb487abd6be936c55),
+    ("label-skew-3", 0x0c3f1927b075a03f),
+    ("dropped-ipfs-block", 0x5b2bca834ea149c5),
+    ("reverted-cid-tx", 0x885ae05f8f6a266b),
+    ("freeloading-owner", 0xb6e066534beae948),
+    ("silent-dropout", 0x261bd9e88d97d1fe),
+    ("failure-storm", 0x1e1931160a003db0),
+    ("flaky-provider", 0x50af6ca5840e3f8d),
+    ("rate-limited", 0x31bd233a6b694c98),
+    ("stale-reads", 0xf5149b6986547efb),
+    ("latency-spike", 0x2f56c7f5e9343b5c),
+    ("reordered-batch", 0xed4eae383188f135),
+    ("mempool-freeloader", 0x0a495377b3015212),
+    ("sub-lag", 0x38012289a35f2921),
+    ("concurrent-8", 0xe4ee2a72201521b8),
+    ("staggered-4", 0x5e8e2d6fc72d52ad),
+    ("multi-2x4", 0x0d4358ae9272baec),
+    ("sharded-2x4", 0x7af0de1b652530fa),
+    ("concurrent-dropout", 0x55b66eff84a746eb),
+];
+
+#[test]
+fn every_regime_matches_its_recorded_fingerprint() {
+    let actual: Vec<(&str, u64)> = shared_outcomes()
+        .iter()
+        .map(|o| (o.name.as_str(), o.fingerprint()))
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, fp)| format!("    ({name:?}, {fp:#018x}),\n"))
+        .collect();
+    assert!(
+        actual == GOLDEN_FINGERPRINTS,
+        "scenario fingerprints diverged from the recorded table; this build gives:\n{table}"
+    );
+}
+
 #[test]
 fn seed_changes_data_models_and_cids() {
     let baseline = shared_outcomes()
