@@ -9,8 +9,9 @@
 //! 1. **in-process** — every shard a local `SimProvider` (the reference).
 //! 2. **socket / jumbo** — every shard mounted over a real TCP `rpcd`
 //!    daemon, batches shipped as one `Frame::Batch` (the PR-5 wire mode).
-//! 3. **socket / lockstep** — one request-id frame per RPC request, each
-//!    awaited before the next is sent.
+//! 3. **socket / lockstep** — `WireMode::Pipelined { window: 1 }`: one
+//!    request-id frame per RPC request, each awaited before the next is
+//!    sent.
 //! 4. **socket / pipelined** — the *same* frames as lockstep, but a window
 //!    of N kept in flight per connection.
 //!
@@ -494,7 +495,7 @@ fn main() {
 
     let socket_modes = [
         ("jumbo".to_string(), WireMode::Jumbo),
-        ("lockstep".to_string(), WireMode::Lockstep),
+        ("lockstep".to_string(), WireMode::Pipelined { window: 1 }),
         (
             format!("pipelined(w={})", args.window),
             WireMode::Pipelined {

@@ -3,19 +3,17 @@
 //! swarms.
 //!
 //! Since the pool redesign, a world no longer owns "the" chain: it owns an
-//! [`ofl_rpc::ProviderPool`] of [`EndpointId`]-addressed endpoints, each a
-//! full decorator stack (`Metered(Latency(…(Sim)))`, with seeded
-//! [`FlakyProvider`](ofl_rpc::FlakyProvider) /
-//! [`RateLimitProvider`](ofl_rpc::RateLimitProvider) layers spliced in when
-//! a [`ShardSpec`] configures them). Markets are *placed* on an endpoint,
-//! and every piece of client traffic — contract calls, transaction
-//! broadcasts, receipt polls, log queries, IPFS transfers, and since this
-//! redesign the **wallet's signing reads** (`eth_chainId`,
-//! `eth_getTransactionCount`, `eth_estimateGas`, `eth_gasPrice`, fetched as
-//! one batch) — flows through the market's endpoint, priced and
-//! fault-injectable like everything else. Decorators *price* virtual time
-//! into each response; the world (or the event engine, onto per-owner
-//! timelines) charges the bill.
+//! [`ofl_rpc::ProviderPool`] of [`EndpointId`]-addressed endpoints, each an
+//! endpoint stack ([`ofl_rpc::decorate`]) that prices and meters every
+//! exchange and injects the seeded faults a [`ShardSpec`]'s
+//! [`EndpointFaults`] switch on. Markets are *placed* on an endpoint, and
+//! every piece of client traffic — contract calls, transaction broadcasts,
+//! receipt polls, log queries, IPFS transfers, and since this redesign the
+//! **wallet's signing reads** (`eth_chainId`, `eth_getTransactionCount`,
+//! `eth_estimateGas`, `eth_gasPrice`, fetched as one batch) — flows through
+//! the market's endpoint, priced and fault-injectable like everything else.
+//! The stack *prices* virtual time into each response; the world (or the
+//! event engine, onto per-owner timelines) charges the bill.
 //!
 //! Backstage simulation work — mining slots, conservation checks, failure
 //! injection — reaches a shard's backend through [`World::chain`] /
@@ -115,7 +113,7 @@ impl core::fmt::Display for WorldError {
 impl std::error::Error for WorldError {}
 
 /// Everything one shard needs to come up: chain parameters, genesis
-/// balances, and the endpoint's fault/quota/staleness decorators.
+/// balances, and the endpoint's seeded fault knobs.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Chain parameters (all shards of one world must share `block_time`,
@@ -155,7 +153,7 @@ impl ShardConfig {
         }
     }
 
-    /// The decorator knobs, in the shape the stack builders take.
+    /// The fault knobs, in the shape the stack builders take.
     pub fn knobs(&self) -> EndpointFaults {
         EndpointFaults {
             faults: self.faults,

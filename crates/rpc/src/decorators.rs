@@ -1,20 +1,27 @@
-//! Composable provider decorators: latency pricing, deterministic fault
-//! injection, and per-method metering.
+//! The endpoint stack: latency pricing, deterministic fault injection, and
+//! per-method metering around one node backend.
 //!
-//! Each decorator implements the same [`EthApi`]/[`IpfsApi`] traits it
-//! wraps, so stacks compose freely:
+//! The endpoint stack wraps any [`NodeProvider`] backend (the in-process
+//! [`SimProvider`](crate::SimProvider) or a
+//! [`SocketProvider`](crate::SocketProvider)) and sends every exchange
+//! through one fixed pipeline. Each fault is off unless its profile is set
+//! in [`EndpointFaults`]; pricing and metering are always on.
 //!
 //! ```text
-//! ReorderProvider                   ← seeded shuffle of batch reply arrays
-//!   └─ MeteredProvider              ← counts calls/errors, sums costs
-//!        └─ LatencyProvider         ← prices each request from the netsim links
-//!             └─ SpikeProvider      ← seeded slot-long latency stalls
-//!                  └─ RateLimitProvider  ← seeded 429s after K requests per slot
-//!                       └─ FlakyProvider ← seeded request drops, timeout cost
-//!                            └─ SimProvider  (in-process chain + swarm)
+//! execute / batch   1. refusal  rate limit (seeded 429 past the slot quota),
+//!                               then flaky (seeded drop): a refused exchange
+//!                               never reaches the backend
+//!                   2. backend  the call, then stale lag on head/receipt reads
+//!                   3. spike    seeded slot-long stall
+//!                   4. latency  netsim price of the exchange
+//!                   5. metering per-method calls, errors and costs
+//!                   6. reorder  seeded shuffle of a batch reply array
+//! add / cat / pin   backend, latency, metering (IPFS is never faulted)
+//! on_slot           sub-lag clock, spike window, rate-limit window, backend
+//! drain / unsubscribe  sub-lag hold queue over the backend's pushes
 //! ```
 //!
-//! Decorators never touch a clock: they *price* requests into the response
+//! The stack never touches a clock: it *prices* requests into the response
 //! envelope's `cost` field, and the caller decides which clock or timeline
 //! pays. That is what lets the serial workflow charge its one global clock
 //! while the discrete-event engine charges per-owner timelines, both
@@ -24,7 +31,7 @@ use crate::backstage::{BackstageOp, BackstageReply};
 use crate::envelope::{RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult};
 use crate::eth::EthApi;
 use crate::ipfs::IpfsApi;
-use crate::provider::NodeProvider;
+use crate::provider::{EndpointFaults, NodeProvider};
 use crate::sub::{Notification, SubscriptionKind};
 use crate::Billed;
 use ofl_eth::chain::Chain;
@@ -37,137 +44,12 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
 // ----------------------------------------------------------------------
-// LatencyProvider
+// Fault profiles
 // ----------------------------------------------------------------------
 
-/// Prices every request with the netsim link model: RPC round trips for the
-/// Ethereum surface, LAN exchanges for IPFS. Batches are priced as **one**
-/// round trip carrying all payloads.
-pub struct LatencyProvider<P> {
-    inner: P,
-    profile: NetworkProfile,
-    /// Fixed wire overhead per request (HTTP/JSON framing).
-    pub envelope_bytes: u64,
-}
-
-impl<P> LatencyProvider<P> {
-    /// Wraps `inner`, pricing against `profile`.
-    pub fn new(inner: P, profile: NetworkProfile, envelope_bytes: u64) -> LatencyProvider<P> {
-        LatencyProvider {
-            inner,
-            profile,
-            envelope_bytes,
-        }
-    }
-
-    fn price(&self, request_payload: u64, response_payload: u64) -> SimDuration {
-        self.profile.rpc.rpc_round_trip(
-            self.envelope_bytes + request_payload,
-            self.envelope_bytes + response_payload,
-        )
-    }
-}
-
-fn response_payload(response: &RpcResponse) -> u64 {
-    response
-        .result
-        .as_ref()
-        .map(|r| r.payload_bytes())
-        .unwrap_or(0)
-}
-
-impl<P: EthApi> EthApi for LatencyProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let mut response = self.inner.execute(request);
-        let cost = self.price(request.method.payload_bytes(), response_payload(&response));
-        response.cost = response.cost.saturating_add(cost);
-        response
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
-        // One wire round trip for the whole batch: payloads sum, framing is
-        // paid once. The full batch cost rides on the first response.
-        let out: u64 = requests.iter().map(|r| r.method.payload_bytes()).sum();
-        let back: u64 = responses.iter().map(response_payload).sum();
-        let cost = self.price(out, back);
-        if let Some(first) = responses.first_mut() {
-            first.cost = first.cost.saturating_add(cost);
-        }
-        responses
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for LatencyProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        let mut billed = self.inner.add(node, data);
-        billed.cost = billed
-            .cost
-            .saturating_add(self.profile.lan.exchange_time(billed.value.bytes_stored, 1));
-        billed
-    }
-
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        let mut billed = self.inner.cat(node, cid);
-        let transfer = match &billed.value {
-            Ok((_, stats)) => self
-                .profile
-                .lan
-                .exchange_time(stats.bytes_fetched, stats.rounds.max(1)),
-            // A failed fetch still walked the want-list once.
-            Err(_) => self.profile.lan.exchange_time(0, 1),
-        };
-        billed.cost = billed.cost.saturating_add(transfer);
-        billed
-    }
-
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        let mut billed = self.inner.pin(node, cid);
-        billed.cost = billed
-            .cost
-            .saturating_add(self.profile.lan.exchange_time(0, 1));
-        billed
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for LatencyProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
-// ----------------------------------------------------------------------
-// FlakyProvider
-// ----------------------------------------------------------------------
-
-/// How an unreliable RPC endpoint misbehaves.
+/// How an unreliable RPC endpoint misbehaves: each Ethereum request (or
+/// whole batch) is dropped with a seeded, deterministic coin and costs the
+/// client-side timeout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Seed of the drop sequence — equal seeds reproduce the exact same
@@ -192,127 +74,10 @@ impl FaultProfile {
     }
 }
 
-/// Drops Ethereum requests with a seeded, deterministic coin — the
-/// infrastructure-fault scenario generator. A dropped request costs the
-/// profile's timeout; IPFS traffic (LAN-local in the paper's deployment)
-/// passes through untouched.
-pub struct FlakyProvider<P> {
-    inner: P,
-    profile: FaultProfile,
-    rng: StdRng,
-    /// How many requests (or whole batches) have been dropped so far.
-    pub dropped: u64,
-}
-
-impl<P> FlakyProvider<P> {
-    /// Wraps `inner` with the given fault profile.
-    pub fn new(inner: P, profile: FaultProfile) -> FlakyProvider<P> {
-        FlakyProvider {
-            inner,
-            rng: StdRng::seed_from_u64(profile.seed),
-            profile,
-            dropped: 0,
-        }
-    }
-
-    fn drops_now(&mut self) -> bool {
-        let dropped = self.rng.gen_bool(self.profile.drop_rate);
-        if dropped {
-            self.dropped += 1;
-            ofl_trace::trace_event!(
-                ofl_trace::Category::Provider,
-                "flaky.drop",
-                "total" => self.dropped,
-            );
-        }
-        dropped
-    }
-}
-
-impl<P: EthApi> EthApi for FlakyProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        if self.drops_now() {
-            return RpcResponse {
-                id: request.id,
-                result: Err(RpcError::Timeout),
-                cost: self.profile.timeout,
-            };
-        }
-        self.inner.execute(request)
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        // A batch is one HTTP request: it drops (or survives) as a unit.
-        if self.drops_now() {
-            return requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RpcResponse {
-                    id: r.id,
-                    result: Err(RpcError::Timeout),
-                    // The timeout elapses once for the whole batch.
-                    cost: if i == 0 {
-                        self.profile.timeout
-                    } else {
-                        SimDuration::ZERO
-                    },
-                })
-                .collect();
-        }
-        self.inner.batch(requests)
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for FlakyProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for FlakyProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
-// ----------------------------------------------------------------------
-// RateLimitProvider
-// ----------------------------------------------------------------------
-
-/// How a quota-enforcing endpoint throttles its clients.
+/// How a quota-enforcing endpoint throttles its clients. Each slot grants a
+/// seeded allowance (baseline plus deterministic jitter); the request over
+/// budget is refused with [`RpcError::RateLimited`] at the cost of the
+/// back-off, after which the window is considered elapsed and renews.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimitProfile {
     /// Seed of the per-slot allowance jitter — equal seeds reproduce the
@@ -337,29 +102,169 @@ impl RateLimitProfile {
     }
 }
 
-/// Answers 429-style [`RpcError::RateLimited`] once a client exceeds its
-/// per-slot request budget — the quota-fault scenario generator. Each slot
-/// grants a seeded allowance (baseline plus deterministic jitter); the
-/// request over budget is refused at the cost of the profile's back-off,
-/// after which the window is considered elapsed and the allowance renews.
-/// IPFS traffic (LAN-local in the paper's deployment) passes untouched.
-pub struct RateLimitProvider<P> {
-    inner: P,
+/// How a congested endpoint's latency spikes come and go. At each idle slot
+/// boundary a seeded coin decides whether a spike begins; while one is
+/// live, every Ethereum request (or whole batch) pays the stall on top of
+/// its normal price. Spikes are a property of virtual *slots*, not of
+/// request count, so equal seeds stall the exact same windows however much
+/// traffic flows through them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpikeProfile {
+    /// Seed of the per-slot spike draws — equal seeds reproduce the exact
+    /// same stall windows, slot for slot.
+    pub seed: u64,
+    /// Probability that a stall begins at any idle slot boundary.
+    pub spike_rate: f64,
+    /// How many 12-second slots one stall lasts once it begins.
+    pub spike_slots: u64,
+    /// Extra virtual time every Ethereum exchange pays while stalled.
+    pub stall: SimDuration,
+}
+
+impl SpikeProfile {
+    /// A profile with the default 2-slot, 2-second stalls.
+    pub fn new(seed: u64, spike_rate: f64) -> SpikeProfile {
+        SpikeProfile {
+            seed,
+            spike_rate,
+            spike_slots: 2,
+            stall: SimDuration::from_secs(2),
+        }
+    }
+}
+
+/// How a batch-reordering endpoint shuffles its answers. JSON-RPC promises
+/// nothing about the order of a batch reply's array; every response keeps
+/// its tag (and its priced cost) through the shuffle, so tag-matching
+/// clients (see [`match_to_requests`](crate::envelope::match_to_requests))
+/// reassemble request order exactly, while positional consumers would read
+/// the wrong answers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReorderProfile {
+    /// Seed of the per-batch permutation draws — equal seeds shuffle every
+    /// batch identically, draw for draw.
+    pub seed: u64,
+}
+
+impl ReorderProfile {
+    /// A profile shuffling with the given seed.
+    pub fn new(seed: u64) -> ReorderProfile {
+        ReorderProfile { seed }
+    }
+}
+
+/// How far a lagging replica trails the canonical head: each
+/// `eth_blockNumber` answers up to N slots behind it, and each
+/// `eth_getTransactionReceipt` hides receipts the lagged replica has not
+/// indexed yet (they come back `None`, exactly like an unmined transaction
+/// — the classic load-balanced-RPC inconsistency clients must re-poll
+/// through).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StaleProfile {
+    /// Seed of the per-read lag draws — equal seeds reproduce the exact
+    /// same staleness, read for read.
+    pub seed: u64,
+    /// Largest lag, in slots, a read may be served at (each read draws a
+    /// lag in `0..=max_lag_slots`).
+    pub max_lag_slots: u64,
+}
+
+impl StaleProfile {
+    /// A profile lagging up to `max_lag_slots` behind the head.
+    pub fn new(seed: u64, max_lag_slots: u64) -> StaleProfile {
+        StaleProfile {
+            seed,
+            max_lag_slots,
+        }
+    }
+}
+
+/// How a lagging push path delays subscription deliveries. Each
+/// subscription draws a fixed seeded lag in slots when its first
+/// notification arrives; every notification for it is then held for that
+/// many [`NodeProvider::on_slot`] boundaries before a drain releases it.
+/// Consumers keyed on the notification's own `seq` are unaffected.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SubLagProfile {
+    /// Seed of the per-subscription delay draws — equal seeds lag every
+    /// subscription identically, draw for draw.
+    pub seed: u64,
+    /// Largest delivery lag, in slots, a subscription may be assigned
+    /// (each subscription draws a fixed lag in `0..=max_delay_slots` when
+    /// its first notification arrives).
+    pub max_delay_slots: u64,
+    /// Also shuffle each released batch with the seeded stream — the
+    /// out-of-order push wire.
+    pub reorder: bool,
+}
+
+impl SubLagProfile {
+    /// A delay-only profile (no reordering).
+    pub fn new(seed: u64, max_delay_slots: u64) -> SubLagProfile {
+        SubLagProfile {
+            seed,
+            max_delay_slots,
+            reorder: false,
+        }
+    }
+
+    /// The same profile with released batches also shuffled.
+    pub fn with_reorder(mut self) -> SubLagProfile {
+        self.reorder = true;
+        self
+    }
+}
+
+// ----------------------------------------------------------------------
+// Fault state
+// ----------------------------------------------------------------------
+
+/// Seeded request drops.
+struct Flaky {
+    profile: FaultProfile,
+    rng: StdRng,
+    /// Requests (or whole batches) dropped so far.
+    dropped: u64,
+}
+
+impl Flaky {
+    fn new(profile: FaultProfile) -> Flaky {
+        Flaky {
+            rng: StdRng::seed_from_u64(profile.seed),
+            profile,
+            dropped: 0,
+        }
+    }
+
+    fn drops_now(&mut self) -> bool {
+        let dropped = self.rng.gen_bool(self.profile.drop_rate);
+        if dropped {
+            self.dropped += 1;
+            ofl_trace::trace_event!(
+                ofl_trace::Category::Provider,
+                "flaky.drop",
+                "total" => self.dropped,
+            );
+        }
+        dropped
+    }
+}
+
+/// Seeded per-slot request quota.
+struct RateLimit {
     profile: RateLimitProfile,
     rng: StdRng,
     allowance: u64,
     used: u64,
-    /// How many requests (or whole batches) have been refused so far.
-    pub limited: u64,
+    /// Requests (or whole batches) refused so far.
+    limited: u64,
 }
 
-impl<P> RateLimitProvider<P> {
-    /// Wraps `inner` with the given quota profile.
-    pub fn new(inner: P, profile: RateLimitProfile) -> RateLimitProvider<P> {
+impl RateLimit {
+    fn new(profile: RateLimitProfile) -> RateLimit {
         let mut rng = StdRng::seed_from_u64(profile.seed);
         let allowance = draw_allowance(&mut rng, &profile);
-        RateLimitProvider {
-            inner,
+        RateLimit {
             profile,
             rng,
             allowance,
@@ -397,156 +302,32 @@ fn draw_allowance(rng: &mut StdRng, profile: &RateLimitProfile) -> u64 {
     (profile.requests_per_slot + rng.gen_range(0..jitter_span)).max(1)
 }
 
-impl<P: EthApi> EthApi for RateLimitProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        if self.throttles_now() {
-            return RpcResponse {
-                id: request.id,
-                result: Err(RpcError::RateLimited),
-                cost: self.profile.backoff,
-            };
-        }
-        self.inner.execute(request)
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        // A batch is one HTTP request: it spends (or is refused) one unit.
-        if self.throttles_now() {
-            return requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RpcResponse {
-                    id: r.id,
-                    result: Err(RpcError::RateLimited),
-                    // The back-off elapses once for the whole batch.
-                    cost: if i == 0 {
-                        self.profile.backoff
-                    } else {
-                        SimDuration::ZERO
-                    },
-                })
-                .collect();
-        }
-        self.inner.batch(requests)
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for RateLimitProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for RateLimitProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.renew_window();
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
-// ----------------------------------------------------------------------
-// SpikeProvider
-// ----------------------------------------------------------------------
-
-/// How a congested endpoint's latency spikes come and go.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpikeProfile {
-    /// Seed of the per-slot spike draws — equal seeds reproduce the exact
-    /// same stall windows, slot for slot.
-    pub seed: u64,
-    /// Probability that a stall begins at any idle slot boundary.
-    pub spike_rate: f64,
-    /// How many 12-second slots one stall lasts once it begins.
-    pub spike_slots: u64,
-    /// Extra virtual time every Ethereum exchange pays while stalled.
-    pub stall: SimDuration,
-}
-
-impl SpikeProfile {
-    /// A profile with the default 2-slot, 2-second stalls.
-    pub fn new(seed: u64, spike_rate: f64) -> SpikeProfile {
-        SpikeProfile {
-            seed,
-            spike_rate,
-            spike_slots: 2,
-            stall: SimDuration::from_secs(2),
-        }
-    }
-}
-
-/// Stalls an endpoint for whole slots at a time — the congested-provider
-/// scenario generator. At each idle slot boundary a seeded coin decides
-/// whether a spike begins; while one is live, every Ethereum request (or
-/// whole batch) pays the profile's stall on top of its normal price, then
-/// the endpoint recovers and the coin waits for the next boundary. Spikes
-/// are a property of virtual *slots*, not of request count, so equal seeds
-/// stall the exact same windows however much traffic flows through them.
-/// IPFS traffic (LAN-local in the paper's deployment) passes untouched.
-pub struct SpikeProvider<P> {
-    inner: P,
+/// Seeded slot-long latency stalls.
+struct Spike {
     profile: SpikeProfile,
     rng: StdRng,
     /// Slots left before the current spike clears (0 = healthy).
     remaining_slots: u64,
-    /// How many requests (or whole batches) were served mid-spike.
-    pub stalled: u64,
+    /// Requests (or whole batches) served mid-spike.
+    stalled: u64,
 }
 
-impl<P> SpikeProvider<P> {
-    /// Wraps `inner` with the given spike profile. The first slot draws its
-    /// coin immediately, so a spike can be live from the very first request.
-    pub fn new(inner: P, profile: SpikeProfile) -> SpikeProvider<P> {
+impl Spike {
+    /// The first slot draws its coin immediately, so a spike can be live
+    /// from the very first request.
+    fn new(profile: SpikeProfile) -> Spike {
         let mut rng = StdRng::seed_from_u64(profile.seed);
         let remaining_slots = if rng.gen_bool(profile.spike_rate) {
             profile.spike_slots
         } else {
             0
         };
-        SpikeProvider {
-            inner,
+        Spike {
             profile,
             rng,
             remaining_slots,
             stalled: 0,
         }
-    }
-
-    /// True while a spike window is live.
-    pub fn is_stalled(&self) -> bool {
-        self.remaining_slots > 0
     }
 
     /// One slot elapses: a live spike runs down; an idle boundary draws the
@@ -563,8 +344,8 @@ impl<P> SpikeProvider<P> {
         }
     }
 
-    /// Adds the stall to one already-priced cost when a spike is live.
-    fn stall_cost(&mut self, cost: SimDuration) -> SimDuration {
+    /// Adds the stall to one exchange's cost when a spike is live.
+    fn stall(&mut self, cost: SimDuration) -> SimDuration {
         if self.remaining_slots == 0 {
             return cost;
         }
@@ -579,267 +360,57 @@ impl<P> SpikeProvider<P> {
     }
 }
 
-impl<P: EthApi> EthApi for SpikeProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let mut response = self.inner.execute(request);
-        response.cost = self.stall_cost(response.cost);
-        response
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
-        // A batch is one HTTP exchange: the stall elapses once, riding the
-        // first response like every other batch-level cost.
-        if let Some(first) = responses.first_mut() {
-            first.cost = self.stall_cost(first.cost);
-        }
-        responses
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for SpikeProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for SpikeProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.advance_slot();
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
-// ----------------------------------------------------------------------
-// ReorderProvider
-// ----------------------------------------------------------------------
-
-/// How a batch-reordering endpoint shuffles its answers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReorderProfile {
-    /// Seed of the per-batch permutation draws — equal seeds shuffle every
-    /// batch identically, draw for draw.
-    pub seed: u64,
-}
-
-impl ReorderProfile {
-    /// A profile shuffling with the given seed.
-    pub fn new(seed: u64) -> ReorderProfile {
-        ReorderProfile { seed }
-    }
-}
-
-/// Delivers each batch's sub-responses in a seeded random order — the
-/// out-of-order-server scenario generator. JSON-RPC promises nothing about
-/// the order of a batch reply's array; clients must pair answers with
-/// requests by their `id` tag. Every response keeps its tag (and its priced
-/// cost) through the shuffle, so tag-matching clients (see
-/// [`match_to_requests`](crate::envelope::match_to_requests)) reassemble
-/// request order exactly, while positional consumers would read the wrong
-/// answers — which is precisely what the regime exists to catch.
-///
-/// Sits **outermost** in the stack: it models the wire delivering the reply
-/// array out of order, after pricing and metering saw the batch in request
-/// order. Single requests and IPFS traffic pass untouched.
-pub struct ReorderProvider<P> {
-    inner: P,
+/// Seeded batch reply permutation.
+struct Reorder {
     rng: StdRng,
-    /// How many batches came back in a non-identity order.
-    pub reordered: u64,
+    /// Batches that came back in a non-identity order.
+    reordered: u64,
 }
 
-impl<P> ReorderProvider<P> {
-    /// Wraps `inner` with the given shuffle profile.
-    pub fn new(inner: P, profile: ReorderProfile) -> ReorderProvider<P> {
-        ReorderProvider {
-            inner,
-            rng: StdRng::seed_from_u64(profile.seed),
-            reordered: 0,
+impl Reorder {
+    fn shuffle(&mut self, responses: &mut [RpcResponse]) {
+        if responses.len() < 2 {
+            return;
         }
-    }
-}
-
-impl<P: EthApi> EthApi for ReorderProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        self.inner.execute(request)
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
-        if responses.len() > 1 {
-            // Fisher–Yates with the seeded stream: len-1 draws per batch,
-            // whatever the transport, so equal seeds permute identically.
-            let mut identity = true;
-            for i in (1..responses.len()).rev() {
-                let j = self.rng.gen_range(0..=i);
-                if j != i {
-                    identity = false;
-                    responses.swap(i, j);
-                }
-            }
-            if !identity {
-                self.reordered += 1;
-                ofl_trace::trace_event!(
-                    ofl_trace::Category::Provider,
-                    "reorder.shuffle",
-                    "total" => self.reordered,
-                    "batch" => responses.len(),
-                );
+        // Fisher–Yates with the seeded stream: len-1 draws per batch,
+        // whatever the transport, so equal seeds permute identically.
+        let mut identity = true;
+        for i in (1..responses.len()).rev() {
+            let j = self.rng.gen_range(0..=i);
+            if j != i {
+                identity = false;
+                responses.swap(i, j);
             }
         }
-        responses
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for ReorderProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for ReorderProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
-// ----------------------------------------------------------------------
-// StaleReadProvider
-// ----------------------------------------------------------------------
-
-/// How far a lagging replica trails the canonical head.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaleProfile {
-    /// Seed of the per-read lag draws — equal seeds reproduce the exact
-    /// same staleness, read for read.
-    pub seed: u64,
-    /// Largest lag, in slots, a read may be served at (each read draws a
-    /// lag in `0..=max_lag_slots`).
-    pub max_lag_slots: u64,
-}
-
-impl StaleProfile {
-    /// A profile lagging up to `max_lag_slots` behind the head.
-    pub fn new(seed: u64, max_lag_slots: u64) -> StaleProfile {
-        StaleProfile {
-            seed,
-            max_lag_slots,
+        if !identity {
+            self.reordered += 1;
+            ofl_trace::trace_event!(
+                ofl_trace::Category::Provider,
+                "reorder.shuffle",
+                "total" => self.reordered,
+                "batch" => responses.len(),
+            );
         }
     }
 }
 
-/// Serves head and receipt reads as a **lagging replica** would: each
-/// `eth_blockNumber` answers up to N slots behind the canonical head, and
-/// each `eth_getTransactionReceipt` hides receipts the lagged replica has
-/// not indexed yet (they come back `None`, exactly like an unmined
-/// transaction — the classic load-balanced-RPC inconsistency clients must
-/// re-poll through). Writes and all other reads pass through untouched.
-///
-/// Sits **innermost** in the stack (directly over the backend), so its
-/// canonical-head queries reach the backend without disturbing the fault
-/// decorators' seeded draws and without being metered as client traffic.
-pub struct StaleReadProvider<P> {
-    inner: P,
+/// Seeded lagging-replica head and receipt reads.
+struct Stale {
     profile: StaleProfile,
     rng: StdRng,
-    /// How many reads were actually degraded (lagged head or hidden
-    /// receipt).
-    pub served_stale: u64,
+    /// Reads actually degraded (lagged head or hidden receipt).
+    served_stale: u64,
 }
 
-impl<P> StaleReadProvider<P> {
-    /// Wraps `inner` with the given staleness profile.
-    pub fn new(inner: P, profile: StaleProfile) -> StaleReadProvider<P> {
-        StaleReadProvider {
-            inner,
-            rng: StdRng::seed_from_u64(profile.seed),
-            profile,
-            served_stale: 0,
-        }
-    }
-}
-
-impl<P: EthApi> StaleReadProvider<P> {
-    /// The canonical head, read straight from the backend.
-    fn canonical_head(&mut self) -> Option<u64> {
-        match self
-            .inner
-            .execute(&RpcRequest::new(0, RpcMethod::BlockNumber))
-            .result
-        {
-            Ok(RpcResult::BlockNumber(n)) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Applies a seeded lag to one already-answered read.
-    fn lag_response(&mut self, request: &RpcRequest, response: &mut RpcResponse) {
+impl Stale {
+    /// Applies a seeded lag to one answered read. Its canonical-head query
+    /// goes straight to the backend: it is neither faulted nor metered.
+    fn lag(
+        &mut self,
+        backend: &mut dyn NodeProvider,
+        request: &RpcRequest,
+        response: &mut RpcResponse,
+    ) {
         let lagged_reads = matches!(
             request.method,
             RpcMethod::BlockNumber | RpcMethod::GetTransactionReceipt { .. }
@@ -861,17 +432,17 @@ impl<P: EthApi> StaleReadProvider<P> {
                 }
                 *n = n.saturating_sub(lag);
             }
-            Ok(RpcResult::Receipt(opt)) => {
-                let hidden = match opt {
-                    Some(receipt) => match self.canonical_head() {
-                        // The replica's view ends `lag` slots before the
-                        // head; a receipt past that view does not exist yet.
-                        Some(head) => receipt.block_number.saturating_add(lag) > head,
-                        None => false,
-                    },
-                    None => false,
+            Ok(RpcResult::Receipt(Some(receipt))) => {
+                let head = match backend
+                    .execute(&RpcRequest::new(0, RpcMethod::BlockNumber))
+                    .result
+                {
+                    Ok(RpcResult::BlockNumber(n)) => Some(n),
+                    _ => None,
                 };
-                if hidden {
+                // The replica's view ends `lag` slots before the head; a
+                // receipt past that view does not exist yet.
+                if head.is_some_and(|head| receipt.block_number.saturating_add(lag) > head) {
                     self.served_stale += 1;
                     ofl_trace::trace_event!(
                         ofl_trace::Category::Provider,
@@ -879,7 +450,7 @@ impl<P: EthApi> StaleReadProvider<P> {
                         "total" => self.served_stale,
                         "lag" => lag,
                     );
-                    *opt = None;
+                    response.result = Ok(RpcResult::Receipt(None));
                 }
             }
             _ => {}
@@ -887,116 +458,8 @@ impl<P: EthApi> StaleReadProvider<P> {
     }
 }
 
-impl<P: EthApi> EthApi for StaleReadProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let mut response = self.inner.execute(request);
-        self.lag_response(request, &mut response);
-        response
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
-        // Lag draws happen in request order, so a batch of N receipt polls
-        // consumes N draws — deterministic whatever the transport.
-        for (request, response) in requests.iter().zip(&mut responses) {
-            self.lag_response(request, response);
-        }
-        responses
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for StaleReadProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for StaleReadProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
-// ----------------------------------------------------------------------
-// SubLagProvider
-// ----------------------------------------------------------------------
-
-/// How a lagging push path delays subscription deliveries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubLagProfile {
-    /// Seed of the per-subscription delay draws — equal seeds lag every
-    /// subscription identically, draw for draw.
-    pub seed: u64,
-    /// Largest delivery lag, in slots, a subscription may be assigned
-    /// (each subscription draws a fixed lag in `0..=max_delay_slots` when
-    /// its first notification arrives).
-    pub max_delay_slots: u64,
-    /// Also shuffle each released batch with the seeded stream — the
-    /// out-of-order push wire.
-    pub reorder: bool,
-}
-
-impl SubLagProfile {
-    /// A delay-only profile (no reordering).
-    pub fn new(seed: u64, max_delay_slots: u64) -> SubLagProfile {
-        SubLagProfile {
-            seed,
-            max_delay_slots,
-            reorder: false,
-        }
-    }
-
-    /// The same profile with released batches also shuffled.
-    pub fn with_reorder(mut self) -> SubLagProfile {
-        self.reorder = true;
-        self
-    }
-}
-
-/// Delays (and optionally reorders) push notifications — the laggy-wire
-/// scenario generator for the subscription path. Each subscription draws a
-/// fixed seeded lag in slots when its first notification arrives; every
-/// notification for that subscription is then held for that many
-/// [`NodeProvider::on_slot`] boundaries before a drain releases it.
-/// Consumers that assume "drained this slot = published this slot" break
-/// under this decorator; consumers keyed on the notification's own `seq`
-/// do not. Sits **outermost** in the stack: it models the wire delivering
-/// pushes late, after the backend published them in canonical order.
-pub struct SubLagProvider<P> {
-    inner: P,
+/// Seeded per-subscription push-delivery lag.
+struct SubLag {
     profile: SubLagProfile,
     rng: StdRng,
     /// Slots elapsed since construction (the release clock).
@@ -1005,87 +468,15 @@ pub struct SubLagProvider<P> {
     lags: BTreeMap<u64, u64>,
     /// Held notifications with their release slot, in arrival order.
     held: VecDeque<(u64, Notification)>,
-    /// How many notifications were delivered at least one slot late.
-    pub delayed: u64,
+    /// Notifications delivered at least one slot late.
+    delayed: u64,
 }
 
-impl<P> SubLagProvider<P> {
-    /// Wraps `inner` with the given lag profile.
-    pub fn new(inner: P, profile: SubLagProfile) -> SubLagProvider<P> {
-        SubLagProvider {
-            inner,
-            rng: StdRng::seed_from_u64(profile.seed),
-            profile,
-            slot: 0,
-            lags: BTreeMap::new(),
-            held: VecDeque::new(),
-            delayed: 0,
-        }
-    }
-
-    /// Notifications currently held back (not yet released).
-    pub fn held_back(&self) -> usize {
-        self.held.len()
-    }
-}
-
-impl<P: EthApi> EthApi for SubLagProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        self.inner.execute(request)
-    }
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        self.inner.batch(requests)
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for SubLagProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for SubLagProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.slot += 1;
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        // Anything still held for a cancelled subscription is never
-        // delivered — the lagging wire dropped it past the cancel.
-        self.held.retain(|(_, n)| n.sub_id != sub_id);
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        // Pull fresh publications into the hold queue, assigning each its
-        // subscription's fixed lag (drawn seeded on first sight).
-        for note in self.inner.drain_notifications() {
+impl SubLag {
+    /// Queues fresh publications behind their subscription's lag and
+    /// releases everything whose slot has come, in arrival order.
+    fn release(&mut self, fresh: Vec<Notification>) -> Vec<Notification> {
+        for note in fresh {
             let lag = *self.lags.entry(note.sub_id).or_insert_with(|| {
                 if self.profile.max_delay_slots == 0 {
                     0
@@ -1098,7 +489,6 @@ impl<P: NodeProvider> NodeProvider for SubLagProvider<P> {
             }
             self.held.push_back((self.slot + lag, note));
         }
-        // Release everything whose slot has come, preserving arrival order.
         let mut released = Vec::new();
         let mut still = VecDeque::with_capacity(self.held.len());
         for (release_slot, note) in self.held.drain(..) {
@@ -1122,7 +512,7 @@ impl<P: NodeProvider> NodeProvider for SubLagProvider<P> {
 }
 
 // ----------------------------------------------------------------------
-// MeteredProvider
+// Metering
 // ----------------------------------------------------------------------
 
 /// Counters for one method.
@@ -1136,7 +526,9 @@ pub struct MethodStats {
     pub cost: SimDuration,
 }
 
-/// A snapshot of everything the metering decorator observed.
+/// A snapshot of everything an endpoint stack metered — what
+/// `SessionReport` surfaces so a session can say "this run made 41
+/// provider round trips costing 4.2 virtual seconds".
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProviderMetrics {
     methods: BTreeMap<&'static str, MethodStats>,
@@ -1197,45 +589,125 @@ impl ProviderMetrics {
     }
 }
 
-/// Counts calls, errors, round trips, and virtual-time totals per method —
-/// what `SessionReport` surfaces so a session can say "this run made 41
-/// provider round trips costing 4.2 virtual seconds".
-pub struct MeteredProvider<P> {
-    inner: P,
+// ----------------------------------------------------------------------
+// EndpointStack
+// ----------------------------------------------------------------------
+
+/// One endpoint's client-side stack: the backend plus every seeded fault
+/// the endpoint's [`EndpointFaults`] switch on, run in the fixed order the
+/// [module docs](self) list. Built by [`decorate`](crate::decorate) and
+/// [`build_provider`](crate::build_provider).
+pub(crate) struct EndpointStack {
+    backend: Box<dyn NodeProvider>,
+    net: NetworkProfile,
+    /// Fixed wire overhead per request (HTTP/JSON framing).
+    envelope_bytes: u64,
     metrics: ProviderMetrics,
+    rate_limit: Option<RateLimit>,
+    flaky: Option<Flaky>,
+    stale: Option<Stale>,
+    spike: Option<Spike>,
+    reorder: Option<Reorder>,
+    sub_lag: Option<SubLag>,
 }
 
-impl<P> MeteredProvider<P> {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: P) -> MeteredProvider<P> {
-        MeteredProvider {
-            inner,
+impl EndpointStack {
+    /// Wraps `backend`, pricing against `net` with `envelope_bytes` of
+    /// framing per request, and arming the faults `knobs` configures.
+    pub(crate) fn new(
+        backend: Box<dyn NodeProvider>,
+        net: NetworkProfile,
+        envelope_bytes: u64,
+        knobs: EndpointFaults,
+    ) -> EndpointStack {
+        EndpointStack {
+            backend,
+            net,
+            envelope_bytes,
             metrics: ProviderMetrics::default(),
+            rate_limit: knobs.rate_limit.map(RateLimit::new),
+            flaky: knobs.faults.map(Flaky::new),
+            stale: knobs.stale.map(|profile| Stale {
+                rng: StdRng::seed_from_u64(profile.seed),
+                profile,
+                served_stale: 0,
+            }),
+            spike: knobs.spike.map(Spike::new),
+            reorder: knobs.reorder.map(|profile| Reorder {
+                rng: StdRng::seed_from_u64(profile.seed),
+                reordered: 0,
+            }),
+            sub_lag: knobs.sub_lag.map(|profile| SubLag {
+                rng: StdRng::seed_from_u64(profile.seed),
+                profile,
+                slot: 0,
+                lags: BTreeMap::new(),
+                held: VecDeque::new(),
+                delayed: 0,
+            }),
         }
     }
 
-    /// The counters observed so far.
-    pub fn snapshot(&self) -> ProviderMetrics {
-        self.metrics.clone()
-    }
-}
-
-impl<P: EthApi> EthApi for MeteredProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let response = self.inner.execute(request);
-        self.metrics.round_trips += 1;
-        self.metrics.record(
-            request.method.name(),
-            response.cost,
-            response.result.is_err(),
-        );
-        response
+    /// A rate-limit refusal, then a flaky one: the error and priced cost of
+    /// an exchange refused before it reaches the backend.
+    fn refusal(&mut self) -> Option<(RpcError, SimDuration)> {
+        if let Some(limit) = &mut self.rate_limit {
+            if limit.throttles_now() {
+                return Some((RpcError::RateLimited, limit.profile.backoff));
+            }
+        }
+        if let Some(flaky) = &mut self.flaky {
+            if flaky.drops_now() {
+                return Some((RpcError::Timeout, flaky.profile.timeout));
+            }
+        }
+        None
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let responses = self.inner.batch(requests);
+    /// One Ethereum wire exchange — a single request, or a whole batch —
+    /// through the pipeline. A batch is one HTTP exchange: it is refused,
+    /// stalled and priced as a unit, with the cost riding its first
+    /// response.
+    fn exchange(&mut self, requests: &[RpcRequest], batched: bool) -> Vec<RpcResponse> {
+        let mut responses = match self.refusal() {
+            Some((error, cost)) => requests
+                .iter()
+                .enumerate()
+                .map(|(i, r)| RpcResponse {
+                    id: r.id,
+                    result: Err(error.clone()),
+                    cost: if i == 0 { cost } else { SimDuration::ZERO },
+                })
+                .collect(),
+            None => {
+                let mut responses = if batched {
+                    self.backend.batch(requests)
+                } else {
+                    vec![self.backend.execute(&requests[0])]
+                };
+                if let Some(stale) = &mut self.stale {
+                    // Lag draws happen in request order, so a batch of N
+                    // receipt polls consumes N draws whatever the transport.
+                    for (request, response) in requests.iter().zip(&mut responses) {
+                        stale.lag(self.backend.as_mut(), request, response);
+                    }
+                }
+                responses
+            }
+        };
+        let out: u64 = requests.iter().map(|r| r.method.payload_bytes()).sum();
+        let back: u64 = responses.iter().map(response_payload).sum();
+        let price = self.price(out, back);
+        if let Some(first) = responses.first_mut() {
+            if let Some(spike) = &mut self.spike {
+                first.cost = spike.stall(first.cost);
+            }
+            first.cost = first.cost.saturating_add(price);
+        }
         self.metrics.round_trips += 1;
-        self.metrics.batched_requests += requests.len() as u64;
+        if batched {
+            self.metrics.batched_requests += requests.len() as u64;
+        }
         for (request, response) in requests.iter().zip(&responses) {
             self.metrics.record(
                 request.method.name(),
@@ -1243,87 +715,178 @@ impl<P: EthApi> EthApi for MeteredProvider<P> {
                 response.result.is_err(),
             );
         }
+        // The wire delivers the reply array out of order only after pricing
+        // and metering saw it in request order.
+        if let Some(reorder) = &mut self.reorder {
+            reorder.shuffle(&mut responses);
+        }
         responses
+    }
+
+    /// One RPC round trip: framing is paid once, payloads sum.
+    fn price(&self, request_payload: u64, response_payload: u64) -> SimDuration {
+        self.net.rpc.rpc_round_trip(
+            self.envelope_bytes + request_payload,
+            self.envelope_bytes + response_payload,
+        )
+    }
+
+    /// Prices one IPFS exchange on the LAN link onto `cost` and meters it.
+    fn lan_exchange(
+        &mut self,
+        method: &'static str,
+        cost: SimDuration,
+        bytes: u64,
+        rounds: usize,
+        is_error: bool,
+    ) -> SimDuration {
+        let cost = cost.saturating_add(self.net.lan.exchange_time(bytes, rounds));
+        self.metrics.round_trips += 1;
+        self.metrics.record(method, cost, is_error);
+        cost
     }
 }
 
-impl<P: IpfsApi> IpfsApi for MeteredProvider<P> {
+fn response_payload(response: &RpcResponse) -> u64 {
+    response
+        .result
+        .as_ref()
+        .map(|r| r.payload_bytes())
+        .unwrap_or(0)
+}
+
+impl EthApi for EndpointStack {
+    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
+        self.exchange(std::slice::from_ref(request), false)
+            .swap_remove(0)
+    }
+
+    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
+        self.exchange(requests, true)
+    }
+}
+
+impl IpfsApi for EndpointStack {
     fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        let billed = self.inner.add(node, data);
-        self.metrics.round_trips += 1;
-        self.metrics.record("ipfs_add", billed.cost, false);
+        let mut billed = self.backend.add(node, data);
+        let bytes = billed.value.bytes_stored;
+        billed.cost = self.lan_exchange("ipfs_add", billed.cost, bytes, 1, false);
         billed
     }
 
     fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        let billed = self.inner.cat(node, cid);
-        self.metrics.round_trips += 1;
-        self.metrics
-            .record("ipfs_cat", billed.cost, billed.value.is_err());
+        let mut billed = self.backend.cat(node, cid);
+        // A failed fetch still walked the want-list once.
+        let (bytes, rounds) = match &billed.value {
+            Ok((_, stats)) => (stats.bytes_fetched, stats.rounds.max(1)),
+            Err(_) => (0, 1),
+        };
+        let is_error = billed.value.is_err();
+        billed.cost = self.lan_exchange("ipfs_cat", billed.cost, bytes, rounds, is_error);
         billed
     }
 
     fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        let billed = self.inner.pin(node, cid);
-        self.metrics.round_trips += 1;
-        self.metrics
-            .record("ipfs_pin", billed.cost, billed.value.is_err());
+        let mut billed = self.backend.pin(node, cid);
+        let is_error = billed.value.is_err();
+        billed.cost = self.lan_exchange("ipfs_pin", billed.cost, 0, 1, is_error);
         billed
     }
 }
 
-impl<P: NodeProvider> NodeProvider for MeteredProvider<P> {
+impl NodeProvider for EndpointStack {
     fn chain(&self) -> &Chain {
-        self.inner.chain()
+        self.backend.chain()
     }
     fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
+        self.backend.chain_mut()
     }
     fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
+        self.backend.swarm()
     }
     fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
+        self.backend.swarm_mut()
     }
     fn metrics(&self) -> Option<ProviderMetrics> {
-        Some(self.snapshot())
+        Some(self.metrics.clone())
     }
     fn on_slot(&mut self) {
-        self.inner.on_slot()
+        if let Some(sub_lag) = &mut self.sub_lag {
+            sub_lag.slot += 1;
+        }
+        if let Some(spike) = &mut self.spike {
+            spike.advance_slot();
+        }
+        if let Some(limit) = &mut self.rate_limit {
+            limit.renew_window();
+        }
+        self.backend.on_slot()
     }
+    /// Always shipped to the backend — a socket backend answers backstage
+    /// ops on the daemon, never from a local chain.
     fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
+        self.backend.backstage(op)
     }
     fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
+        self.backend.subscribe(kind)
     }
     fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
+        // Anything still held for a cancelled subscription is never
+        // delivered — the lagging wire dropped it past the cancel.
+        if let Some(sub_lag) = &mut self.sub_lag {
+            sub_lag.held.retain(|(_, n)| n.sub_id != sub_id);
+        }
+        self.backend.unsubscribe(sub_id)
     }
     fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
+        let fresh = self.backend.drain_notifications();
+        match &mut self.sub_lag {
+            Some(sub_lag) => sub_lag.release(fresh),
+            None => fresh,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::{RpcMethod, RpcResult};
     use crate::sim::SimProvider;
     use ofl_eth::chain::{Chain, ChainConfig};
+    use ofl_netsim::link::Link;
     use ofl_primitives::H160;
 
-    fn stack(
-        faults: Option<FaultProfile>,
-    ) -> MeteredProvider<LatencyProvider<FlakyProvider<SimProvider>>> {
+    /// A backend with one funded account.
+    fn sim(swarm: Swarm) -> SimProvider {
         let addr = H160::from_slice(&[1; 20]);
         let chain = Chain::new(
             ChainConfig::default(),
             &[(addr, ofl_primitives::wei_per_eth())],
         );
-        let sim = SimProvider::new(chain, Swarm::spawn("d", 2));
-        let flaky = FlakyProvider::new(sim, faults.unwrap_or(FaultProfile::new(0, 0.0)));
-        MeteredProvider::new(LatencyProvider::new(flaky, NetworkProfile::campus(), 250))
+        SimProvider::new(chain, swarm)
+    }
+
+    /// A stack over `backend` on a zero-latency network, so each fault's
+    /// own costs show exactly, with nothing priced on top.
+    fn over(backend: SimProvider, knobs: EndpointFaults) -> EndpointStack {
+        let instant = Link::new(SimDuration::ZERO, f64::INFINITY);
+        let net = NetworkProfile {
+            lan: instant,
+            rpc: instant,
+        };
+        EndpointStack::new(Box::new(backend), net, 0, knobs)
+    }
+
+    fn stack(faults: Option<FaultProfile>) -> EndpointStack {
+        let knobs = EndpointFaults {
+            faults,
+            ..EndpointFaults::default()
+        };
+        let backend = Box::new(sim(Swarm::spawn("d", 2)));
+        EndpointStack::new(backend, NetworkProfile::campus(), 250, knobs)
+    }
+
+    fn snapshot(provider: &EndpointStack) -> ProviderMetrics {
+        provider.metrics().unwrap()
     }
 
     fn receipt_poll_batch(n: u64) -> Vec<RpcRequest> {
@@ -1367,8 +930,8 @@ mod tests {
 
         // 16 polls: ~16 round trips of latency vs 1.
         assert!(batch_cost.as_secs_f64() * 8.0 < per_call_cost.as_secs_f64());
-        let per_metrics = per_call.snapshot();
-        let batch_metrics = batched.snapshot();
+        let per_metrics = snapshot(&per_call);
+        let batch_metrics = snapshot(&batched);
         assert_eq!(per_metrics.round_trips, 16);
         assert_eq!(batch_metrics.round_trips, 1);
         assert_eq!(batch_metrics.batched_requests, 16);
@@ -1405,7 +968,7 @@ mod tests {
         // A dropped batch times out as a unit.
         let responses = provider.batch(&receipt_poll_batch(4));
         assert!(responses.iter().all(|r| r.result.is_err()));
-        let metrics = provider.snapshot();
+        let metrics = snapshot(&provider);
         assert_eq!(metrics.total_errors(), 5);
         assert_eq!(metrics.method("eth_blockNumber").errors, 1);
     }
@@ -1417,44 +980,38 @@ mod tests {
         assert!(added.cost > SimDuration::ZERO);
         let fetched = provider.cat(1, &added.value.root);
         assert!(fetched.value.is_ok(), "flakiness must not affect the LAN");
-        let metrics = provider.snapshot();
+        let metrics = snapshot(&provider);
         assert_eq!(metrics.method("ipfs_add").calls, 1);
         assert_eq!(metrics.method("ipfs_cat").calls, 1);
         assert!(metrics.total_cost() > SimDuration::ZERO);
     }
 
+    fn rate_limited(profile: RateLimitProfile) -> EndpointStack {
+        let knobs = EndpointFaults {
+            rate_limit: Some(profile),
+            ..EndpointFaults::default()
+        };
+        over(sim(Swarm::new()), knobs)
+    }
+
     #[test]
     fn rate_limit_throttles_over_budget_then_renews_behind_backoff() {
-        let addr = H160::from_slice(&[1; 20]);
-        let chain = Chain::new(
-            ChainConfig::default(),
-            &[(addr, ofl_primitives::wei_per_eth())],
-        );
         let profile = RateLimitProfile {
             seed: 5,
             requests_per_slot: 3,
             backoff: SimDuration::from_secs(1),
         };
         // No jitter span randomness matters here: allowance ∈ [3, 4).
-        let mut provider = RateLimitProvider::new(SimProvider::new(chain, Swarm::new()), profile);
+        let mut provider = rate_limited(profile);
         let mut outcomes = Vec::new();
         for _ in 0..10 {
             outcomes.push(provider.block_number().value.is_err());
         }
         assert!(outcomes.iter().any(|e| *e), "budget of 3 must throttle");
         assert!(!outcomes.iter().all(|e| *e), "renewed windows must pass");
-        assert!(provider.limited > 0);
+        assert!(provider.rate_limit.as_ref().unwrap().limited > 0);
         // The refusal itself carries the back-off as its priced cost.
-        let mut fresh = RateLimitProvider::new(
-            {
-                let chain = Chain::new(
-                    ChainConfig::default(),
-                    &[(addr, ofl_primitives::wei_per_eth())],
-                );
-                SimProvider::new(chain, Swarm::new())
-            },
-            profile,
-        );
+        let mut fresh = rate_limited(profile);
         let refused = loop {
             let billed = fresh.block_number();
             if billed.value.is_err() {
@@ -1470,15 +1027,7 @@ mod tests {
     #[test]
     fn rate_limit_is_deterministic_by_seed_and_resets_per_slot() {
         let run = |seed: u64, slot_every: usize| -> Vec<bool> {
-            let addr = H160::from_slice(&[1; 20]);
-            let chain = Chain::new(
-                ChainConfig::default(),
-                &[(addr, ofl_primitives::wei_per_eth())],
-            );
-            let mut provider = RateLimitProvider::new(
-                SimProvider::new(chain, Swarm::new()),
-                RateLimitProfile::new(seed, 4),
-            );
+            let mut provider = rate_limited(RateLimitProfile::new(seed, 4));
             (0..40)
                 .map(|i| {
                     if slot_every > 0 && i % slot_every == 0 {
@@ -1523,12 +1072,20 @@ mod tests {
         (SimProvider::new(chain, Swarm::new()), wallet)
     }
 
+    fn stale(sim: SimProvider, profile: StaleProfile) -> EndpointStack {
+        let knobs = EndpointFaults {
+            stale: Some(profile),
+            ..EndpointFaults::default()
+        };
+        over(sim, knobs)
+    }
+
     #[test]
     fn stale_reads_lag_head_and_hide_fresh_receipts_deterministically() {
         let run = |seed: u64| {
             let (sim, wallet) = funded_sim();
             let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
-            let mut provider = StaleReadProvider::new(sim, StaleProfile::new(seed, 3));
+            let mut provider = stale(sim, StaleProfile::new(seed, 3));
             let raw = wallet
                 .sign_raw(
                     provider.chain(),
@@ -1552,7 +1109,7 @@ mod tests {
                 }
                 outcomes.push((head, receipt.is_some()));
             }
-            (outcomes, provider.served_stale)
+            (outcomes, provider.stale.as_ref().unwrap().served_stale)
         };
         let (a, stale_a) = run(5);
         assert!(stale_a > 0, "a 3-slot lag must degrade something");
@@ -1569,7 +1126,7 @@ mod tests {
     fn stale_receipts_become_visible_once_the_head_outruns_the_lag() {
         let (sim, wallet) = funded_sim();
         let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
-        let mut provider = StaleReadProvider::new(sim, StaleProfile::new(7, 2));
+        let mut provider = stale(sim, StaleProfile::new(7, 2));
         let raw = wallet
             .sign_raw(
                 provider.chain(),
@@ -1595,18 +1152,22 @@ mod tests {
         }
     }
 
+    fn spiking(profile: SpikeProfile) -> EndpointStack {
+        let knobs = EndpointFaults {
+            spike: Some(profile),
+            ..EndpointFaults::default()
+        };
+        over(sim(Swarm::new()), knobs)
+    }
+
+    fn spike_of(provider: &EndpointStack) -> &Spike {
+        provider.spike.as_ref().unwrap()
+    }
+
     #[test]
     fn latency_spikes_stall_whole_slots_deterministically() {
         let run = |seed: u64| -> Vec<SimDuration> {
-            let addr = H160::from_slice(&[1; 20]);
-            let chain = Chain::new(
-                ChainConfig::default(),
-                &[(addr, ofl_primitives::wei_per_eth())],
-            );
-            let mut provider = SpikeProvider::new(
-                SimProvider::new(chain, Swarm::new()),
-                SpikeProfile::new(seed, 0.4),
-            );
+            let mut provider = spiking(SpikeProfile::new(seed, 0.4));
             // Two requests per slot across 20 slots: both see the same
             // window, because spikes are per-slot, not per-request.
             let mut costs = Vec::new();
@@ -1634,35 +1195,31 @@ mod tests {
 
     #[test]
     fn spiked_batches_pay_the_stall_once() {
-        let addr = H160::from_slice(&[1; 20]);
-        let chain = Chain::new(
-            ChainConfig::default(),
-            &[(addr, ofl_primitives::wei_per_eth())],
-        );
         // spike_rate 1.0: every slot stalls, including the first.
-        let mut provider = SpikeProvider::new(
-            SimProvider::new(chain, Swarm::new()),
-            SpikeProfile::new(3, 1.0),
-        );
-        assert!(provider.is_stalled());
+        let mut provider = spiking(SpikeProfile::new(3, 1.0));
+        assert!(spike_of(&provider).remaining_slots > 0);
         let responses = provider.batch(&receipt_poll_batch(4));
-        assert!(responses[0].cost >= provider.profile.stall);
+        assert!(responses[0].cost >= spike_of(&provider).profile.stall);
         assert!(responses[1..].iter().all(|r| r.cost == SimDuration::ZERO));
-        assert_eq!(provider.stalled, 1, "one batch = one stalled exchange");
+        assert_eq!(
+            spike_of(&provider).stalled,
+            1,
+            "one batch = one stalled exchange"
+        );
+    }
+
+    fn reordering(seed: u64) -> EndpointStack {
+        let knobs = EndpointFaults {
+            reorder: Some(ReorderProfile::new(seed)),
+            ..EndpointFaults::default()
+        };
+        over(sim(Swarm::new()), knobs)
     }
 
     #[test]
     fn reordered_batches_keep_tags_and_shuffle_deterministically() {
         let run = |seed: u64| -> Vec<Vec<u64>> {
-            let addr = H160::from_slice(&[1; 20]);
-            let chain = Chain::new(
-                ChainConfig::default(),
-                &[(addr, ofl_primitives::wei_per_eth())],
-            );
-            let mut provider = ReorderProvider::new(
-                SimProvider::new(chain, Swarm::new()),
-                ReorderProfile::new(seed),
-            );
+            let mut provider = reordering(seed);
             (0..6)
                 .map(|_| {
                     provider
@@ -1687,13 +1244,21 @@ mod tests {
         assert!(a.iter().any(|ids| *ids != (0..8).collect::<Vec<u64>>()));
     }
 
+    fn sub_lagged(sim: SimProvider, profile: SubLagProfile) -> EndpointStack {
+        let knobs = EndpointFaults {
+            sub_lag: Some(profile),
+            ..EndpointFaults::default()
+        };
+        over(sim, knobs)
+    }
+
     #[test]
     fn sub_lag_delays_deliveries_deterministically_and_releases_in_order() {
         use crate::sub::{SubEvent, SubscriptionKind};
         let run = |seed: u64| -> Vec<Vec<(u64, u64)>> {
             let (sim, wallet) = funded_sim();
             let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
-            let mut provider = SubLagProvider::new(sim, SubLagProfile::new(seed, 3));
+            let mut provider = sub_lagged(sim, SubLagProfile::new(seed, 3));
             let heads = provider.subscribe(SubscriptionKind::NewHeads);
             let pending = provider.subscribe(SubscriptionKind::PendingTxs);
             assert_eq!((heads, pending), (1, 2));
@@ -1742,10 +1307,10 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(seqs, sorted);
         }
-        // With max lag 0 the decorator is a transparent pass-through.
+        // With max lag 0 the sub-lag stage is a transparent pass-through.
         let (sim, wallet) = funded_sim();
         let [a_addr, b_addr]: [H160; 2] = wallet.addresses().try_into().unwrap();
-        let mut clear = SubLagProvider::new(sim, SubLagProfile::new(9, 0));
+        let mut clear = sub_lagged(sim, SubLagProfile::new(9, 0));
         clear.subscribe(SubscriptionKind::PendingTxs);
         let raw = wallet
             .sign_raw(
@@ -1760,21 +1325,15 @@ mod tests {
         let notes = clear.drain_notifications();
         assert_eq!(notes.len(), 1);
         assert!(matches!(notes[0].event, SubEvent::PendingTx(_)));
-        assert_eq!(clear.delayed, 0);
-        assert_eq!(clear.held_back(), 0);
+        let lag = clear.sub_lag.as_ref().unwrap();
+        assert_eq!(lag.delayed, 0);
+        assert_eq!(lag.held.len(), 0);
     }
 
     #[test]
     fn tag_matching_undoes_a_reordering_endpoint() {
         let addr = H160::from_slice(&[1; 20]);
-        let chain = Chain::new(
-            ChainConfig::default(),
-            &[(addr, ofl_primitives::wei_per_eth())],
-        );
-        let mut provider = ReorderProvider::new(
-            SimProvider::new(chain, Swarm::new()),
-            ReorderProfile::new(7),
-        );
+        let mut provider = reordering(7);
         let requests = vec![
             RpcRequest::new(0, RpcMethod::BlockNumber),
             RpcRequest::new(1, RpcMethod::GetBalance { address: addr }),

@@ -84,6 +84,10 @@ pub const PROTOCOL_VERSION: u16 = 4;
 /// prefixes outright.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
+/// Most payload bytes [`Frame::read_from`] reserves before any arrive;
+/// larger payloads grow the buffer as they are received.
+const PAYLOAD_RESERVE: usize = 64 << 10;
+
 /// Why a frame could not be read or written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
@@ -1298,10 +1302,17 @@ impl Frame {
         }
         // The payload is consumed even on a version mismatch, so the stream
         // stays frame-synced and a server can answer the mismatch in-band.
-        let mut payload = vec![0u8; declared as usize];
-        stream
-            .read_exact(&mut payload)
+        // The buffer grows with the bytes that actually arrive: a peer's
+        // header alone never sizes an allocation past the initial reserve.
+        let mut payload = Vec::with_capacity((declared as usize).min(PAYLOAD_RESERVE));
+        let got = Read::take(&mut *stream, u64::from(declared))
+            .read_to_end(&mut payload)
             .map_err(|e| FrameError::Io(e.to_string()))?;
+        if got != declared as usize {
+            return Err(FrameError::Io(format!(
+                "frame payload truncated: {got} of {declared} bytes"
+            )));
+        }
         let version = u16::from_le_bytes([header[2], header[3]]);
         if version != PROTOCOL_VERSION {
             return Err(FrameError::Version { got: version });
@@ -1631,6 +1642,43 @@ mod tests {
             Err(FrameError::TooLarge {
                 declared: MAX_FRAME_BYTES + 1
             })
+        );
+    }
+
+    #[test]
+    fn a_huge_declared_length_allocates_only_what_arrives() {
+        /// Serves a header declaring the maximum payload, then 16 bytes,
+        /// then EOF, recording the largest read it was asked to fill.
+        struct Starved {
+            wire: Vec<u8>,
+            at: usize,
+            largest_ask: usize,
+        }
+        impl Read for Starved {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest_ask = self.largest_ask.max(buf.len());
+                let n = buf.len().min(self.wire.len() - self.at);
+                buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
+                self.at += n;
+                Ok(n)
+            }
+        }
+        let mut wire = Frame::Shutdown.encode()[..8].to_vec();
+        wire[4..8].copy_from_slice(&MAX_FRAME_BYTES.to_le_bytes());
+        wire.extend_from_slice(&[0xAB; 16]);
+        let mut peer = Starved {
+            wire,
+            at: 0,
+            largest_ask: 0,
+        };
+        assert!(matches!(
+            Frame::read_from(&mut peer),
+            Err(FrameError::Io(_))
+        ));
+        assert!(
+            peer.largest_ask <= 64 << 10,
+            "asked to fill {} bytes off an 8-byte header",
+            peer.largest_ask
         );
     }
 

@@ -15,13 +15,13 @@
 //! - [`pool`]: [`ProviderPool`] — N endpoint stacks (shards) addressed by
 //!   [`EndpointId`], with tagged batch fan-out and per-endpoint metering
 //!   rolled up into run-level totals.
-//! - [`decorators`]: composable providers wrapping any backend —
-//!   [`LatencyProvider`] prices netsim timing into each response,
-//!   [`FlakyProvider`] injects seeded deterministic drops/timeouts,
-//!   [`RateLimitProvider`] answers seeded 429s past a per-slot quota,
-//!   [`SpikeProvider`] stalls whole slots at a time, [`ReorderProvider`]
-//!   shuffles batch reply arrays (tags intact), and [`MeteredProvider`]
-//!   counts per-method calls and virtual-time totals.
+//! - [`decorators`]: the endpoint stack every endpoint runs behind
+//!   ([`decorate`]/[`build_provider`]) — one fixed pipeline that prices
+//!   netsim timing into each response, counts per-method calls and
+//!   virtual-time totals ([`ProviderMetrics`]), and injects the seeded
+//!   faults an [`EndpointFaults`] switches on: 429s past a per-slot quota,
+//!   drops/timeouts, lagging-replica reads, slot-long stalls, shuffled
+//!   batch replies (tags intact) and delayed push deliveries.
 //! - [`bindings`]: the [`contract_bindings!`] macro and the generated
 //!   [`ModelMarketContract`] handle — typed contract calls with typed
 //!   decode errors, no raw selector strings.
@@ -36,11 +36,11 @@
 //! - [`frame`] / [`transport`] / [`socket`]: the out-of-process boundary —
 //!   versioned length-prefixed [`Frame`]s over any byte stream, and the
 //!   [`SocketProvider`] client that serves the whole provider surface from
-//!   an `rpcd` daemon while the usual decorators wrap it unchanged.
+//!   an `rpcd` daemon while the usual endpoint stack wraps it unchanged.
 //!
 //! ## Costs travel with values
 //!
-//! Providers never advance a clock. Decorators *price* work into a
+//! Providers never advance a clock. The endpoint stack *prices* work into a
 //! [`Billed`] envelope (or `RpcResponse::cost`), and the caller charges the
 //! bill to whatever clock or per-participant timeline it owns. This is what
 //! lets one provider stack serve both the serial workflow (one global
@@ -68,9 +68,8 @@ pub use backstage::{BackstageOp, BackstageReply};
 pub use bindings::{AbiArg, AbiRet, BindingError, ModelMarketContract};
 pub use codec::CodecError;
 pub use decorators::{
-    FaultProfile, FlakyProvider, LatencyProvider, MeteredProvider, MethodStats, ProviderMetrics,
-    RateLimitProfile, RateLimitProvider, ReorderProfile, ReorderProvider, SpikeProfile,
-    SpikeProvider, StaleProfile, StaleReadProvider, SubLagProfile, SubLagProvider,
+    FaultProfile, MethodStats, ProviderMetrics, RateLimitProfile, ReorderProfile, SpikeProfile,
+    StaleProfile, SubLagProfile,
 };
 pub use envelope::{match_to_requests, RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult};
 pub use eth::EthApi;
@@ -95,7 +94,7 @@ use ofl_netsim::clock::SimDuration;
 pub struct Billed<T> {
     /// The result itself.
     pub value: T,
-    /// Virtual time priced onto the operation by the decorator stack.
+    /// Virtual time priced onto the operation by the endpoint stack.
     pub cost: SimDuration,
 }
 

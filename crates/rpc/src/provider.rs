@@ -6,27 +6,24 @@
 //! simulation additionally owns the infrastructure: it mines slots, checks
 //! conservation invariants, and injects failures (garbage-collecting a
 //! peer's blocks, say). Those backstage operations go through the
-//! `chain`/`swarm` accessors, which every decorator forwards down to the
-//! innermost [`SimProvider`].
+//! `chain`/`swarm` accessors, which the endpoint stack forwards to its
+//! backend.
 //!
 //! [`EndpointId`]: crate::pool::EndpointId
 //! [`ProviderPool`]: crate::pool::ProviderPool
 
 use crate::backstage::{BackstageOp, BackstageReply};
 use crate::decorators::{
-    FaultProfile, FlakyProvider, LatencyProvider, MeteredProvider, ProviderMetrics,
-    RateLimitProfile, RateLimitProvider, ReorderProfile, ReorderProvider, SpikeProfile,
-    SpikeProvider, StaleProfile, StaleReadProvider, SubLagProfile, SubLagProvider,
+    EndpointStack, FaultProfile, ProviderMetrics, RateLimitProfile, ReorderProfile, SpikeProfile,
+    StaleProfile, SubLagProfile,
 };
-use crate::envelope::{RpcError, RpcRequest, RpcResponse};
+use crate::envelope::RpcError;
 use crate::eth::EthApi;
 use crate::ipfs::IpfsApi;
 use crate::sim::SimProvider;
 use crate::sub::{Notification, SubscriptionKind};
-use crate::Billed;
 use ofl_eth::chain::Chain;
-use ofl_ipfs::cid::Cid;
-use ofl_ipfs::swarm::{AddResult, FetchStats, IpfsError, Swarm};
+use ofl_ipfs::swarm::Swarm;
 use ofl_netsim::link::NetworkProfile;
 
 /// Everything a world needs from one node endpoint: the client-visible API
@@ -44,29 +41,31 @@ pub trait NodeProvider: EthApi + IpfsApi + Send {
     fn swarm(&self) -> &Swarm;
     /// Mutable backing swarm (backstage: failure injection).
     fn swarm_mut(&mut self) -> &mut Swarm;
-    /// Metering snapshot, when a [`MeteredProvider`] is in the stack.
+    /// Metering snapshot, when the provider is an endpoint stack (see
+    /// [`decorate`]).
     fn metrics(&self) -> Option<ProviderMetrics> {
         None
     }
     /// Backstage slot-boundary notification: the world calls this when a
-    /// 12-second slot elapses so window-based decorators (rate limiting)
-    /// can reset. Decorators forward it down the stack.
+    /// 12-second slot elapses so window-based faults (rate limiting,
+    /// spikes, push lag) can advance. The endpoint stack forwards it to its
+    /// backend.
     fn on_slot(&mut self) {}
     /// Answers one [`BackstageOp`] — the simulator's side channel (mining,
     /// invariant reads, failure injection) as a value instead of a
     /// reference, so it can cross a process boundary. The default answers
-    /// locally via the `chain`/`swarm` accessors; decorators forward it
-    /// untouched (backstage traffic is never priced, faulted, or metered),
-    /// and [`SocketProvider`](crate::SocketProvider) ships it to the
-    /// daemon as one frame.
+    /// locally via the `chain`/`swarm` accessors; the endpoint stack
+    /// forwards it untouched (backstage traffic is never priced, faulted,
+    /// or metered), and [`SocketProvider`](crate::SocketProvider) ships it
+    /// to the daemon as one frame.
     fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
         crate::backstage::dispatch_local(self, op)
     }
     /// Opens a push subscription on this endpoint's backend, returning its
-    /// id (monotonic per backend, starting at 1). Decorators forward the
-    /// call down the stack untouched, so the id is assigned by the
-    /// innermost backend — in-process and remote stacks hand out the same
-    /// ids for the same subscribe sequence.
+    /// id (monotonic per backend, starting at 1). The endpoint stack
+    /// forwards the call untouched, so the id is assigned by the backend —
+    /// in-process and remote stacks hand out the same ids for the same
+    /// subscribe sequence.
     fn subscribe(&mut self, kind: SubscriptionKind) -> u64;
     /// Cancels a subscription; `false` when the id was unknown.
     fn unsubscribe(&mut self, sub_id: u64) -> bool;
@@ -77,65 +76,9 @@ pub trait NodeProvider: EthApi + IpfsApi + Send {
     fn drain_notifications(&mut self) -> Vec<Notification>;
 }
 
-/// Forwarding impls so decorator stacks can be assembled layer by layer
-/// over `Box<dyn NodeProvider>` without knowing the concrete type below.
-impl EthApi for Box<dyn NodeProvider> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        (**self).execute(request)
-    }
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        (**self).batch(requests)
-    }
-}
-
-impl IpfsApi for Box<dyn NodeProvider> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        (**self).add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        (**self).cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        (**self).pin(node, cid)
-    }
-}
-
-impl NodeProvider for Box<dyn NodeProvider> {
-    fn chain(&self) -> &Chain {
-        (**self).chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        (**self).chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        (**self).swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        (**self).swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        (**self).metrics()
-    }
-    fn on_slot(&mut self) {
-        (**self).on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        (**self).backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        (**self).subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        (**self).unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        (**self).drain_notifications()
-    }
-}
-
-/// The per-endpoint decorator knobs shared by the in-process and remote
-/// stack builders: seeded fault injection, request quotas, and lagging
-/// replica reads (`None` everywhere = a clean, reliable endpoint).
+/// The per-endpoint fault knobs shared by the in-process and remote stack
+/// builders: seeded fault injection, request quotas, and lagging replica
+/// reads (`None` everywhere = a clean, reliable endpoint).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EndpointFaults {
     /// Seeded RPC drop injection.
@@ -152,51 +95,19 @@ pub struct EndpointFaults {
     pub sub_lag: Option<SubLagProfile>,
 }
 
-/// Wraps any backend with the standard decorator stack: batch reordering
-/// over metering over latency pricing over (optionally) latency spikes over
-/// (optionally) rate limiting over (optionally) fault injection over
-/// (optionally) stale replica reads. Stale reads sit innermost so their
-/// head queries hit the backend directly without disturbing the fault
-/// decorators' seeded draws; reordering sits outermost because it models
-/// the wire delivering a batch reply out of order, after pricing and
-/// metering saw it in request order.
+/// Wraps any backend in the endpoint stack: latency pricing and metering,
+/// plus the faults `knobs` switch on, in the fixed order the
+/// [`decorators`](crate::decorators) module documents.
 pub fn decorate(
     backend: Box<dyn NodeProvider>,
     profile: NetworkProfile,
     envelope_bytes: u64,
     knobs: EndpointFaults,
 ) -> Box<dyn NodeProvider> {
-    let mut stack = backend;
-    if let Some(stale) = knobs.stale {
-        stack = Box::new(StaleReadProvider::new(stack, stale));
-    }
-    if let Some(faults) = knobs.faults {
-        stack = Box::new(FlakyProvider::new(stack, faults));
-    }
-    if let Some(rate_limit) = knobs.rate_limit {
-        stack = Box::new(RateLimitProvider::new(stack, rate_limit));
-    }
-    if let Some(spike) = knobs.spike {
-        stack = Box::new(SpikeProvider::new(stack, spike));
-    }
-    let mut stack: Box<dyn NodeProvider> = Box::new(MeteredProvider::new(LatencyProvider::new(
-        stack,
-        profile,
-        envelope_bytes,
-    )));
-    if let Some(reorder) = knobs.reorder {
-        stack = Box::new(ReorderProvider::new(stack, reorder));
-    }
-    // Sub-lag models the wire delivering pushes late, so it wraps the
-    // whole stack — notifications are delayed after every other decorator
-    // has seen them.
-    if let Some(sub_lag) = knobs.sub_lag {
-        stack = Box::new(SubLagProvider::new(stack, sub_lag));
-    }
-    stack
+    Box::new(EndpointStack::new(backend, profile, envelope_bytes, knobs))
 }
 
-/// Builds the standard decorator stack around an in-process backend.
+/// Builds the endpoint stack around an in-process backend.
 pub fn build_provider(
     chain: Chain,
     swarm: Swarm,

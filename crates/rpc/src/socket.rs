@@ -44,13 +44,10 @@ pub enum WireMode {
     /// One [`Frame::Batch`] carrying the whole slice — a single jumbo
     /// round trip. The default, and the PR-5 behaviour.
     Jumbo,
-    /// One [`Frame::Request`]-wrapped [`Frame::Execute`] per request, each
-    /// awaited before the next is sent: same frames as `Pipelined`, but
-    /// one blocking wait per request. The slow baseline the benches
-    /// compare against.
-    Lockstep,
-    /// The same per-request frames as `Lockstep`, but up to `window` kept
-    /// in flight at once (v2 request-id pipelining).
+    /// One [`Frame::Request`]-wrapped [`Frame::Execute`] per request, up
+    /// to `window` kept in flight at once (v2 request-id pipelining).
+    /// `window: 1` awaits each reply before sending the next request — the
+    /// lockstep baseline the benches compare against.
     Pipelined {
         /// Requests allowed on the wire before the first reply is awaited.
         window: usize,
@@ -60,7 +57,7 @@ pub enum WireMode {
 impl WireMode {
     fn window(self) -> usize {
         match self {
-            WireMode::Jumbo | WireMode::Lockstep => 1,
+            WireMode::Jumbo => 1,
             WireMode::Pipelined { window } => window.max(1),
         }
     }
