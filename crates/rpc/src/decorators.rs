@@ -369,20 +369,7 @@ struct Reorder {
 
 impl Reorder {
     fn shuffle(&mut self, responses: &mut [RpcResponse]) {
-        if responses.len() < 2 {
-            return;
-        }
-        // Fisher–Yates with the seeded stream: len-1 draws per batch,
-        // whatever the transport, so equal seeds permute identically.
-        let mut identity = true;
-        for i in (1..responses.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            if j != i {
-                identity = false;
-                responses.swap(i, j);
-            }
-        }
-        if !identity {
+        if shuffle(&mut self.rng, responses) {
             self.reordered += 1;
             ofl_trace::trace_event!(
                 ofl_trace::Category::Provider,
@@ -392,6 +379,21 @@ impl Reorder {
             );
         }
     }
+}
+
+/// Fisher–Yates with a seeded stream: `len - 1` draws per slice whatever
+/// the transport, so equal seeds permute identically. `true` when the
+/// order changed.
+fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) -> bool {
+    let mut moved = false;
+    for i in (1..items.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        if j != i {
+            moved = true;
+            items.swap(i, j);
+        }
+    }
+    moved
 }
 
 /// Seeded lagging-replica head and receipt reads.
@@ -499,13 +501,8 @@ impl SubLag {
             }
         }
         self.held = still;
-        if self.profile.reorder && released.len() > 1 {
-            // Fisher–Yates with the same seeded stream: len-1 draws per
-            // released batch, deterministic whatever the transport.
-            for i in (1..released.len()).rev() {
-                let j = self.rng.gen_range(0..=i);
-                released.swap(i, j);
-            }
+        if self.profile.reorder {
+            shuffle(&mut self.rng, &mut released);
         }
         released
     }
