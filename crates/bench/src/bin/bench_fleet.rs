@@ -4,29 +4,25 @@
 //! Builds a `MultiMarket` fleet (owners split across decorrelated market
 //! cells, round-robined over shards) using the linear-time
 //! `FinalizePolicy::FedAvgProportional` pipeline, and drives the same
-//! seeded run four ways:
+//! seeded run two ways:
 //!
 //! 1. **in-process** — every shard a local `SimProvider` (the reference).
-//! 2. **socket / jumbo** — every shard mounted over a real TCP `rpcd`
-//!    daemon, batches shipped as one `Frame::Batch` (the PR-5 wire mode).
-//! 3. **socket / lockstep** — `WireMode::Pipelined { window: 1 }`: one
-//!    request-id frame per RPC request, each awaited before the next is
-//!    sent.
-//! 4. **socket / pipelined** — the *same* frames as lockstep, but a window
-//!    of N kept in flight per connection.
+//! 2. **socket / pipelined** — every shard mounted over a real TCP `rpcd`
+//!    daemon, one request-id frame per RPC request with a window of N kept
+//!    in flight per connection.
 //!
-//! All four runs must be bit-identical in virtual time and metering (the
-//! backend boundary and the wire discipline are invisible to the
-//! simulation), and lockstep/pipelined must exchange identical frames. A
-//! fifth leg re-runs the in-process fleet with the shard executor flipped
-//! (parallel workers vs strictly serial) and pins the digests equal — the
-//! determinism contract of `ofl_netsim::par`. A final *wire drive* then
-//! ships the same fleet-scale frame load through `roundtrip_many` at
-//! window 1 vs window N against a live daemon, where pipelining must
-//! strictly cut wall-clock time at equal round trips. Results — including
-//! the sign/codec/queue/aggregate/wire hot-path breakdown of the reference
-//! leg — go to the durable perf trajectory `BENCH_fleet.json` at the repo
-//! root.
+//! Both runs must be bit-identical in virtual time and metering (the
+//! backend boundary is invisible to the simulation); the other wire modes
+//! are pinned to the same digest and frame counts by
+//! `tests/scenarios.rs`. A third leg re-runs the in-process fleet with the
+//! shard executor flipped (parallel workers vs strictly serial) and pins
+//! the digests equal — the determinism contract of `ofl_netsim::par`. A
+//! final *wire drive* then ships the same fleet-scale frame load through
+//! `roundtrip_many` at window 1 vs window N against a live daemon, where
+//! pipelining must strictly cut wall-clock time at equal round trips.
+//! Results go to the durable perf trajectory `BENCH_fleet.json` at the
+//! repo root. Where the wall time goes layer by layer is `perfbench`'s job
+//! (`crates/bench/perfbench`), not this binary's.
 //!
 //! With `--subscribe`, a further leg re-runs the in-process fleet with the
 //! engine's push watchers open on every shard and records the push-vs-poll
@@ -42,7 +38,6 @@ use ofl_core::engine::{EngineConfig, EngineReport, MultiMarket};
 use ofl_core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
 use ofl_eth::chain::ChainConfig;
 use ofl_netsim::par::set_parallel;
-use ofl_primitives::{phase_snapshot, reset_phase_times, set_phase_timing, PhaseTimes};
 use ofl_rpc::{
     provision_socket_provider_via, BackstageOp, BackstageReply, Frame, ProviderMetrics,
     RemoteEndpoint, WireCounter, WireMode,
@@ -72,7 +67,6 @@ struct RunRow {
     rpc_requests: u64,
     wire_frames_sent: u64,
     wire_frames_received: u64,
-    wire_recv_wait_secs: f64,
     per_endpoint: Vec<EndpointRow>,
 }
 
@@ -83,7 +77,6 @@ struct WireDriveRow {
     round_trips: u64,
     wall_secs: f64,
     frames_per_sec: f64,
-    recv_wait_secs: f64,
 }
 
 #[derive(Serialize)]
@@ -147,8 +140,6 @@ struct Record {
     /// False when `--serial` pinned the reference leg (and the socket
     /// legs) to the one-thread executor.
     parallel: bool,
-    /// Hot-path wall-clock breakdown of the reference in-process leg.
-    phase_times: PhaseTimes,
     parallel_check: ParallelCheck,
     runs: Vec<RunRow>,
     wire_drive: Vec<WireDriveRow>,
@@ -257,7 +248,6 @@ fn run_row(
         rpc_requests: report.rpc.total_calls(),
         wire_frames_sent: counters.iter().map(|c| c.frames_sent()).sum(),
         wire_frames_received: counters.iter().map(|c| c.frames_received()).sum(),
-        wire_recv_wait_secs: counters.iter().map(|c| c.recv_wait_secs()).sum(),
         per_endpoint: report
             .rpc_per_endpoint
             .iter()
@@ -273,13 +263,14 @@ fn run_row(
     }
 }
 
-/// One socket-backed fleet run: a real `rpcd` daemon on an ephemeral TCP
-/// port, every shard mounted over its own connection with the given wire
-/// mode, wire counters watching each connection from the outside.
+/// The socket-backed fleet run: a real `rpcd` daemon on an ephemeral TCP
+/// port, every shard mounted over its own connection with `window`
+/// request-id frames in flight, wire counters watching each connection
+/// from the outside.
 fn socket_run(
     configs: Vec<MarketConfig>,
     shards: usize,
-    mode: WireMode,
+    window: usize,
 ) -> (EngineReport, f64, Vec<WireCounter>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rpcd listener");
     let addr = listener.local_addr().unwrap().to_string();
@@ -303,7 +294,7 @@ fn socket_run(
                 profile,
                 DEFAULT_TX_WIRE_BYTES,
                 config.knobs(),
-                mode,
+                WireMode::Pipelined { window },
             )
             .expect("provision over tcp"),
         )
@@ -323,8 +314,8 @@ fn socket_run(
 /// through [`ofl_rpc::FrameTransport::roundtrip_many`] at the given window against
 /// a freshly provisioned daemon backend, and time the whole exchange.
 fn drive_one(addr: &str, frames: usize, label: String, window: usize) -> WireDriveRow {
-    let (mut transport, counter) = RemoteEndpoint::Tcp(addr.to_string())
-        .connect_counted()
+    let mut transport = RemoteEndpoint::Tcp(addr.to_string())
+        .connect()
         .expect("connect to rpcd");
     transport
         .send(&Frame::Provision {
@@ -358,7 +349,6 @@ fn drive_one(addr: &str, frames: usize, label: String, window: usize) -> WireDri
         round_trips: frames as u64,
         wall_secs: wall,
         frames_per_sec: frames as f64 / wall.max(1e-9),
-        recv_wait_secs: counter.recv_wait_secs(),
     }
 }
 
@@ -393,7 +383,6 @@ fn main() {
         if args.serial { ", serial executor" } else { "" }
     ));
     set_parallel(!args.serial);
-    set_phase_timing(true);
 
     let mut base = MarketConfig::fleet(owners_per_market);
     // Size each shard's block capacity to its market load: a 10k-owner
@@ -434,14 +423,12 @@ fn main() {
         );
     };
 
-    // Reference: every shard in-process, hot-path phase timers running.
-    reset_phase_times();
+    // Reference: every shard in-process.
     let started = std::time::Instant::now();
     let (_, local) = MultiMarket::with_shards(configs(), args.shards)
         .run(&EngineConfig::default(), &[])
         .expect("in-process fleet run");
     let local_wall = started.elapsed().as_secs_f64();
-    let phase_times = phase_snapshot();
     let reference = digest(&local);
     let mut runs = vec![run_row(
         "in-process",
@@ -452,14 +439,6 @@ fn main() {
         &[],
     )];
     print(&runs[0]);
-    println!(
-        "  hot paths: sign {:.3}s, codec {:.3}s, queue {:.3}s, aggregate {:.3}s, wire {:.3}s",
-        phase_times.sign_ns as f64 / 1e9,
-        phase_times.codec_ns as f64 / 1e9,
-        phase_times.queue_ns as f64 / 1e9,
-        phase_times.aggregate_ns as f64 / 1e9,
-        phase_times.wire_ns as f64 / 1e9,
-    );
 
     // Determinism leg: the same fleet with the shard executor flipped.
     // Parallel workers merge results in endpoint order, so the digest —
@@ -493,38 +472,21 @@ fn main() {
         parallel_check.parallel_speedup
     );
 
-    let socket_modes = [
-        ("jumbo".to_string(), WireMode::Jumbo),
-        ("lockstep".to_string(), WireMode::Pipelined { window: 1 }),
-        (
-            format!("pipelined(w={})", args.window),
-            WireMode::Pipelined {
-                window: args.window,
-            },
-        ),
-    ];
-    for (label, mode) in socket_modes {
-        let (report, wall, counters) = socket_run(configs(), args.shards, mode);
-        assert_eq!(
-            digest(&report),
-            reference,
-            "a {label} socket backend must reproduce the in-process run bit-identically"
-        );
-        let row = run_row("socket", label, owners, &report, wall, &counters);
-        print(&row);
-        runs.push(row);
-    }
+    let label = format!("pipelined(w={})", args.window);
+    let (report, wall, counters) = socket_run(configs(), args.shards, args.window);
+    assert_eq!(
+        digest(&report),
+        reference,
+        "a {label} socket backend must reproduce the in-process run bit-identically"
+    );
+    let row = run_row("socket", label, owners, &report, wall, &counters);
+    print(&row);
+    runs.push(row);
 
     // The engine runs above carry heavy simulation work per request, which
-    // buries the per-frame turnaround in compute noise; the fleet rows pin
-    // *identical digests and identical frame counts* across wire modes.
-    // The drive below measures the turnaround itself: the same frame load
-    // at fleet scale, window 1 vs window N, nothing else on the wire.
-    assert_eq!(
-        (runs[2].round_trips, runs[2].wire_frames_sent),
-        (runs[3].round_trips, runs[3].wire_frames_sent),
-        "lockstep and pipelined fleet runs must exchange the same frames at the same metered round trips"
-    );
+    // buries the per-frame turnaround in compute noise. The drive below
+    // measures the turnaround itself: the same frame load at fleet scale,
+    // window 1 vs window N, nothing else on the wire.
     let (drive_lockstep, drive_pipelined) = wire_drive(owners, args.window);
     let comparison = Comparison {
         round_trips: drive_lockstep.round_trips,
@@ -652,7 +614,6 @@ fn main() {
         shards: args.shards,
         window: args.window,
         parallel: !args.serial,
-        phase_times,
         parallel_check,
         runs,
         wire_drive: vec![drive_lockstep, drive_pipelined],

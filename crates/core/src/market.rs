@@ -39,7 +39,6 @@ use ofl_ipfs::swarm::{IpfsNode, Swarm};
 use ofl_netsim::clock::{SimClock, SimDuration, SimInstant};
 use ofl_netsim::service::{Response, Service};
 use ofl_netsim::timing::{ComputeModel, PhaseRecorder};
-use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
 use ofl_primitives::u256::U256;
 use ofl_primitives::{format_eth, wei_per_eth, H160, H256};
 use ofl_rpc::{BindingError, EndpointId, ModelMarketContract, ProviderMetrics};
@@ -669,7 +668,6 @@ impl MarketSession {
         &mut self,
         world: &World,
     ) -> Result<(Aggregation, SimDuration), MarketError> {
-        let _t = PhaseTimer::start(HotPhase::Aggregate);
         if self.retrieved.is_empty() {
             return Err(MarketError::StepOrder("retrieve models before aggregating"));
         }
@@ -739,7 +737,6 @@ impl MarketSession {
         world: &World,
         agg: &Aggregation,
     ) -> (LooPayments, SimDuration) {
-        let _t = PhaseTimer::start(HotPhase::Aggregate);
         let scratch = SimClock::new();
         self.backend
             .call(&scratch, &world.profile.lan, "/loo", b"loo".to_vec());

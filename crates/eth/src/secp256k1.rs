@@ -6,7 +6,6 @@
 //! (the `ecrecover` primitive that lets the chain derive a transaction's
 //! sender from its signature alone).
 
-use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
 use ofl_primitives::u256::{U256, U512};
 use ofl_primitives::{hmac_sha256, keccak256, H160};
 use std::sync::OnceLock;
@@ -660,7 +659,6 @@ pub fn public_key(private_key: &U256) -> Result<Affine, EcdsaError> {
 /// recovery id. Deterministic: the same key and hash always yield the same
 /// signature (RFC 6979).
 pub fn sign(private_key: &U256, msg_hash: &[u8; 32]) -> Result<Signature, EcdsaError> {
-    let _t = PhaseTimer::start(HotPhase::Sign);
     let d = Scalar::from_canonical(*private_key).ok_or(EcdsaError::InvalidPrivateKey)?;
     let z = Scalar::new(U256::from_be_bytes(msg_hash));
     for attempt in 0..128 {

@@ -11,7 +11,7 @@
 //! invariants file-by-file:
 //!
 //! - **D1 no-wall-clock** — `Instant::now`/`SystemTime` only on the
-//!   allowlist (bench legs, the gated hotpath timer).
+//!   allowlist (the bench crates) or under a `wall-clock-ok` waiver.
 //! - **D2 no-unordered-iteration** — no `HashMap`/`HashSet` iteration in
 //!   digest-bearing crates unless sorted or `ordered-ok`-annotated.
 //! - **D3 no-ambient-randomness** — seeds flow from config, never from

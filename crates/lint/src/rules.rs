@@ -7,7 +7,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | D1   | no wall-clock reads outside the bench/hotpath allowlist |
+//! | D1   | no wall-clock reads outside the bench allowlist |
 //! | D2   | no unordered `HashMap`/`HashSet` iteration in digest crates |
 //! | D3   | no ambient (entropy-seeded) randomness anywhere |
 //! | R1   | no panic paths in daemon/transport non-test code |

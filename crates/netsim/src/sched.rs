@@ -15,7 +15,6 @@
 //! a run is a pure function of its inputs.
 
 use crate::clock::{SimDuration, SimInstant};
-use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
 use std::collections::BinaryHeap;
 
 /// An event queue ordered by firing instant, then by scheduling order.
@@ -75,7 +74,6 @@ impl<E> EventQueue<E> {
     /// the last popped event) is a logic error and panics, because it would
     /// make virtual time non-monotone.
     pub fn schedule(&mut self, at: SimInstant, event: E) {
-        let _t = PhaseTimer::start(HotPhase::Queue);
         assert!(
             at >= self.last_popped,
             "scheduled event at {:?} before current time {:?}",
@@ -97,7 +95,6 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event with its firing instant.
     pub fn pop(&mut self) -> Option<(SimInstant, E)> {
-        let _t = PhaseTimer::start(HotPhase::Queue);
         let entry = self.heap.pop()?;
         self.last_popped = entry.at;
         Some((entry.at, entry.event))

@@ -14,7 +14,6 @@
 //! - [`varint`]: unsigned LEB128 varints (multiformats headers)
 //! - [`rlp`]: Recursive Length Prefix (transactions, blocks)
 //! - [`fixed`]: `H160` / `H256` fixed-width types
-//! - [`hotpath`]: wall-clock phase accounting for the bench hot paths
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +21,6 @@ pub mod base32;
 pub mod base58;
 pub mod fixed;
 pub mod hex;
-pub mod hotpath;
 pub mod keccak;
 pub mod rlp;
 pub mod sha256;
@@ -30,9 +28,6 @@ pub mod u256;
 pub mod varint;
 
 pub use fixed::{H160, H256};
-pub use hotpath::{
-    phase_snapshot, reset_phase_times, set_phase_timing, HotPhase, PhaseTimer, PhaseTimes,
-};
 pub use keccak::keccak256;
 pub use sha256::{hmac_sha256, sha256};
 pub use u256::{U256, U512};

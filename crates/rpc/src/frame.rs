@@ -57,7 +57,6 @@ use ofl_ipfs::blockstore::BlockstoreError;
 use ofl_ipfs::cid::Cid;
 use ofl_ipfs::swarm::{AddResult, FetchStats, IpfsError};
 use ofl_netsim::clock::SimDuration;
-use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
 use ofl_primitives::u256::U256;
 use ofl_primitives::H160;
 use std::io::{Read, Write};
@@ -1043,7 +1042,6 @@ impl Frame {
 
     /// Decodes a frame payload (tag + body). Trailing bytes are an error.
     pub fn decode_payload(payload: &[u8]) -> Result<Frame, CodecError> {
-        let _t = PhaseTimer::start(HotPhase::Codec);
         ofl_trace::trace_event!(
             ofl_trace::Category::Codec,
             "frame.decode",
@@ -1226,7 +1224,6 @@ impl Frame {
     /// reject them anyway, and a u32 length prefix cannot even represent a
     /// multi-GiB payload without desyncing the stream.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
-        let _t = PhaseTimer::start(HotPhase::Codec);
         out.clear();
         out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());

@@ -17,7 +17,6 @@
 //! session exposed as its own [`FrameTransport`].
 
 use crate::frame::{Frame, FrameError};
-use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -67,15 +66,13 @@ pub trait FrameTransport: Send {
 }
 
 /// Wire-level counters a transport reports (shared, clonable handle): how
-/// many frames actually crossed the wire and how long the client sat
-/// blocked waiting for replies. The benches read these to show that
-/// lockstep and pipelined runs exchange the *same* frames while paying
-/// very different turnaround waits.
+/// many frames actually crossed the wire. The benches and tests read these
+/// to show that lockstep and pipelined runs exchange the *same* frames;
+/// where wall time goes is measured outside the program, by `perfbench`.
 #[derive(Debug, Default)]
 pub struct WireStats {
     frames_sent: AtomicU64,
     frames_received: AtomicU64,
-    recv_wait_nanos: AtomicU64,
 }
 
 /// A clonable handle onto one transport's [`WireStats`].
@@ -91,19 +88,11 @@ impl WireCounter {
     pub fn frames_received(&self) -> u64 {
         self.0.frames_received.load(Ordering::Relaxed)
     }
-    /// Wall-clock seconds the client spent blocked inside `recv` — the
-    /// turnaround cost pipelining exists to hide.
-    pub fn recv_wait_secs(&self) -> f64 {
-        self.0.recv_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
     fn count_send(&self) {
         self.0.frames_sent.fetch_add(1, Ordering::Relaxed);
     }
-    fn count_recv(&self, waited: std::time::Duration) {
+    fn count_recv(&self) {
         self.0.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.0
-            .recv_wait_nanos
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -152,7 +141,6 @@ impl<S: Read + Write + Send> StreamTransport<S> {
 
 impl<S: Read + Write + Send> FrameTransport for StreamTransport<S> {
     fn send(&mut self, frame: &Frame) -> Result<(), FrameError> {
-        let _t = PhaseTimer::start(HotPhase::Wire);
         self.counter.count_send();
         frame.encode_into(&mut self.wire)?;
         self.stream
@@ -160,9 +148,6 @@ impl<S: Read + Write + Send> FrameTransport for StreamTransport<S> {
             .map_err(|e| FrameError::Io(format!("write to {}: {e}", self.peer)))
     }
     fn recv(&mut self) -> Result<Frame, FrameError> {
-        let _t = PhaseTimer::start(HotPhase::Wire);
-        // lint: wall-clock-ok(feeds WireCounter bench metering only; never enters a digest)
-        let started = std::time::Instant::now();
         loop {
             match Frame::read_from(&mut self.stream)? {
                 // Pushes ride interleaved with replies: divert them to the
@@ -171,7 +156,7 @@ impl<S: Read + Write + Send> FrameTransport for StreamTransport<S> {
                 // Server keepalive probe — not an answer to anything.
                 Frame::Ping => {}
                 frame => {
-                    self.counter.count_recv(started.elapsed());
+                    self.counter.count_recv();
                     return Ok(frame);
                 }
             }

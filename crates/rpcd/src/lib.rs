@@ -66,43 +66,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Live daemon counters shared between the accept loop and every
-/// connection it spawns, so any client can probe daemon health in-band
-/// with [`Frame::Stats`]. All counters are monotone except the session
-/// census, which is computed from the live store at probe time.
+/// Daemon-wide counters shared by the accept loop and every connection it
+/// spawns: [`Frame::Stats`] reads them live, so any client can probe
+/// daemon health in-band, and [`serve_incoming`] returns them in its
+/// [`DaemonStats`]. All are monotone; the session census is computed from
+/// the live store at probe time.
 #[derive(Debug, Default)]
-struct GaugeInner {
+struct Counters {
+    accept_errors: AtomicU64,
     workers_reaped: AtomicU64,
-    accept_backoffs: AtomicU64,
     frames_served: AtomicU64,
-}
-
-/// A clonable handle onto one daemon's shared counters.
-#[derive(Debug, Clone, Default)]
-pub struct DaemonGauges(Arc<GaugeInner>);
-
-impl DaemonGauges {
-    /// Finished worker threads reaped by the accept loop so far.
-    pub fn workers_reaped(&self) -> u64 {
-        self.0.workers_reaped.load(Ordering::Relaxed)
-    }
-    /// Accept failures that triggered a back-off sleep.
-    pub fn accept_backoffs(&self) -> u64 {
-        self.0.accept_backoffs.load(Ordering::Relaxed)
-    }
-    /// Frames dispatched across every connection of this daemon.
-    pub fn frames_served(&self) -> u64 {
-        self.0.frames_served.load(Ordering::Relaxed)
-    }
-    fn count_reaped(&self, n: u64) {
-        self.0.workers_reaped.fetch_add(n, Ordering::Relaxed);
-    }
-    fn count_backoff(&self) {
-        self.0.accept_backoffs.fetch_add(1, Ordering::Relaxed);
-    }
-    fn count_frame(&self) {
-        self.0.frames_served.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Session backends shared across connections by a persistent daemon:
@@ -149,7 +122,7 @@ pub struct Connection {
     /// Daemon-wide counters this connection reports through
     /// [`Frame::Stats`]. A standalone connection (pipe transports, unit
     /// tests) carries its own private instance.
-    gauges: DaemonGauges,
+    counters: Arc<Counters>,
 }
 
 impl Default for Connection {
@@ -166,7 +139,7 @@ impl Connection {
             backends: Backends::Private(BTreeMap::new()),
             frames_served: 0,
             subs: BTreeMap::new(),
-            gauges: DaemonGauges::default(),
+            counters: Arc::default(),
         }
     }
 
@@ -180,7 +153,7 @@ impl Connection {
             backends: Backends::Private(sessions),
             frames_served: 0,
             subs: BTreeMap::new(),
-            gauges: DaemonGauges::default(),
+            counters: Arc::default(),
         }
     }
 
@@ -192,16 +165,8 @@ impl Connection {
             backends: Backends::Shared(store),
             frames_served: 0,
             subs: BTreeMap::new(),
-            gauges: DaemonGauges::default(),
+            counters: Arc::default(),
         }
-    }
-
-    /// Rebinds this connection's [`Frame::Stats`] reporting onto a shared
-    /// set of daemon counters (the accept loop wires every spawned
-    /// connection to its own gauges this way).
-    pub fn with_gauges(mut self, gauges: DaemonGauges) -> Connection {
-        self.gauges = gauges;
-        self
     }
 
     /// Dispatches one frame, returning the reply and whether the client
@@ -227,7 +192,7 @@ impl Connection {
 
     fn dispatch(&mut self, session: u64, frame: Frame) -> (Frame, bool) {
         self.frames_served += 1;
-        self.gauges.count_frame();
+        self.counters.frames_served.fetch_add(1, Ordering::Relaxed);
         ofl_trace::trace_event!(
             ofl_trace::Category::Rpcd,
             "rpcd.dispatch",
@@ -339,13 +304,14 @@ impl Connection {
             }
             // Read-only admin probe: a census of the daemon's shared
             // counters plus the process-wide metrics registry, so an
-            // operator can watch queue depths and phase timings without
-            // attaching a debugger to the daemon.
+            // operator can watch queue depths without attaching a
+            // debugger to the daemon. Every failed accept backs off, so
+            // the wire's `accept_backoffs` is the accept-error count.
             Frame::Stats => Frame::StatsReply {
                 sessions: self.session_count(),
-                workers_reaped: self.gauges.workers_reaped(),
-                accept_backoffs: self.gauges.accept_backoffs(),
-                frames_served: self.gauges.frames_served(),
+                workers_reaped: self.counters.workers_reaped.load(Ordering::Relaxed),
+                accept_backoffs: self.counters.accept_errors.load(Ordering::Relaxed),
+                frames_served: self.counters.frames_served.load(Ordering::Relaxed),
                 metrics: ofl_trace::metrics::snapshot_flat(),
             },
             Frame::Shutdown => return (Frame::Goodbye, true),
@@ -528,9 +494,6 @@ pub struct DaemonOptions {
     /// the connection that provisioned them and later connections can
     /// [`Frame::Attach`] to them (the `--persist` daemon mode).
     pub sessions: Option<SessionStore>,
-    /// Shared counters every connection reports through [`Frame::Stats`].
-    /// Callers that want to watch the daemon from outside keep a clone.
-    pub gauges: DaemonGauges,
 }
 
 impl Default for DaemonOptions {
@@ -541,7 +504,6 @@ impl Default for DaemonOptions {
             accept_retry: Duration::from_millis(10),
             max_accept_failures: 32,
             sessions: None,
-            gauges: DaemonGauges::default(),
         }
     }
 }
@@ -566,6 +528,10 @@ pub struct DaemonStats {
     /// Most worker threads alive at once — bounded by reaping, where the
     /// pre-hardening loop grew its handle list without bound.
     pub peak_workers: usize,
+    /// Finished worker threads reaped by the accept loop.
+    pub workers_reaped: u64,
+    /// Frames dispatched across every connection of this daemon.
+    pub frames_served: u64,
 }
 
 /// The accept loop every listener flavor shares: each accepted stream is
@@ -584,6 +550,7 @@ where
 {
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut stats = DaemonStats::default();
+    let counters = Arc::new(Counters::default());
     let mut consecutive_failures = 0u32;
     let mut backoff = options.accept_retry;
     for stream in incoming {
@@ -594,9 +561,8 @@ where
                 stream
             }
             Err(error) => {
-                stats.accept_errors += 1;
+                counters.accept_errors.fetch_add(1, Ordering::Relaxed);
                 consecutive_failures += 1;
-                options.gauges.count_backoff();
                 eprintln!("rpcd: accept failed ({consecutive_failures} in a row): {error}");
                 if consecutive_failures >= options.max_accept_failures {
                     eprintln!(
@@ -611,15 +577,17 @@ where
         };
         let before = workers.len();
         workers.retain(|worker| !worker.is_finished());
-        options.gauges.count_reaped((before - workers.len()) as u64);
+        counters
+            .workers_reaped
+            .fetch_add((before - workers.len()) as u64, Ordering::Relaxed);
         let sessions = options.sessions.clone();
-        let gauges = options.gauges.clone();
+        let shared = Arc::clone(&counters);
         workers.push(std::thread::spawn(move || {
-            let conn = match sessions {
+            let mut conn = match sessions {
                 Some(store) => Connection::sharing(store),
                 None => Connection::new(),
-            }
-            .with_gauges(gauges);
+            };
+            conn.counters = shared;
             let _ = serve_stream(stream, conn);
         }));
         stats.connections += 1;
@@ -634,7 +602,12 @@ where
     for worker in workers {
         let _ = worker.join();
     }
-    stats
+    DaemonStats {
+        accept_errors: counters.accept_errors.load(Ordering::Relaxed),
+        workers_reaped: counters.workers_reaped.load(Ordering::Relaxed),
+        frames_served: counters.frames_served.load(Ordering::Relaxed),
+        ..stats
+    }
 }
 
 /// [`serve_incoming`] over a TCP listener: `TCP_NODELAY` plus the
@@ -1136,6 +1109,8 @@ mod tests {
             "workers not reaped: peak {}",
             stats.peak_workers
         );
+        // Every handle not alive at the end was reaped by the loop.
+        assert!(stats.workers_reaped >= 8 - stats.peak_workers as u64);
     }
 
     #[test]
@@ -1271,13 +1246,11 @@ mod tests {
     fn stats_probe_reports_daemon_counters_over_live_tcp() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap();
-        let gauges = DaemonGauges::default();
         let store = new_session_store();
         let server = {
             let options = DaemonOptions {
                 max_connections: Some(2),
                 sessions: Some(store.clone()),
-                gauges: gauges.clone(),
                 ..DaemonOptions::default()
             };
             std::thread::spawn(move || serve_listener_with(listener, options))
@@ -1299,7 +1272,7 @@ mod tests {
         use std::net::TcpStream;
         let mut stream = TcpStream::connect(addr).expect("connect");
         Frame::Stats.write_to(&mut stream).unwrap();
-        match Frame::read_from(&mut stream).expect("stats reply") {
+        let wire_backoffs = match Frame::read_from(&mut stream).expect("stats reply") {
             Frame::StatsReply {
                 sessions,
                 workers_reaped,
@@ -1316,16 +1289,19 @@ mod tests {
                 // The registry snapshot rides along; its exact contents
                 // depend on what else this process traced.
                 let _ = (workers_reaped, metrics);
+                accept_backoffs
             }
             other => panic!("expected StatsReply, got {other:?}"),
-        }
+        };
         Frame::Shutdown.write_to(&mut stream).unwrap();
         assert_eq!(Frame::read_from(&mut stream).unwrap(), Frame::Goodbye);
         let stats = server.join().expect("server exits");
         assert_eq!(stats.connections, 2);
-        // The caller's clone of the gauges watched the same counters the
-        // wire probe read: 3 frames on connection 1, Stats + Shutdown here.
-        assert!(gauges.frames_served() >= 5);
+        // The returned stats are the counters the wire probe read: 3
+        // frames on connection 1, Stats + Shutdown here, and the wire's
+        // back-off count is the accept-error count.
+        assert!(stats.frames_served >= 5, "got {}", stats.frames_served);
+        assert_eq!(stats.accept_errors, wire_backoffs);
     }
 
     #[test]

@@ -540,7 +540,8 @@ mod remote_backend {
     use ofl_w3::core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
     use ofl_w3::netsim::link::NetworkProfile;
     use ofl_w3::rpc::{
-        provision_socket_provider, provision_socket_provider_via, RemoteEndpoint, WireMode,
+        provision_socket_provider, provision_socket_provider_via, RemoteEndpoint, WireCounter,
+        WireMode,
     };
     use ofl_w3::rpcd::{DaemonOptions, PipeTransport};
 
@@ -702,12 +703,13 @@ mod remote_backend {
 
     /// Mounts every shard of a fleet over its own TCP connection to one
     /// rpcd daemon, speaking the given wire mode, and runs the engine.
+    /// Returns the report and each connection's wire counters.
     fn tcp_fleet_run(
         configs: Vec<MarketConfig>,
         shards: usize,
         mode: WireMode,
         engine: &EngineConfig,
-    ) -> EngineReport {
+    ) -> (EngineReport, Vec<WireCounter>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
@@ -715,10 +717,12 @@ mod remote_backend {
         });
 
         let profile = configs[0].profile;
+        let mut counters = Vec::new();
         let (mm, report) = MultiMarket::with_shards_via(configs, shards, |config| {
-            let transport = RemoteEndpoint::Tcp(addr.clone())
-                .connect()
+            let (transport, counter) = RemoteEndpoint::Tcp(addr.clone())
+                .connect_counted()
                 .expect("connect to rpcd");
+            counters.push(counter);
             ShardSpec::Mounted(
                 provision_socket_provider_via(
                     transport,
@@ -738,13 +742,16 @@ mod remote_backend {
         drop(mm);
         let stats = server.join().expect("rpcd server thread exits");
         assert_eq!(stats.connections as usize, shards);
-        report
+        (report, counters)
     }
 
-    /// The pipelined request-id wire discipline is invisible to the
-    /// simulation: the 32-owner fleet run over pipelined TCP sockets
-    /// (window 8, both shards remote) reproduces the all-in-process run
-    /// bit-identically — reports, metering, and timing breakdowns.
+    /// The wire discipline is invisible to the simulation: the 32-owner
+    /// fleet run over TCP sockets (both shards remote) reproduces the
+    /// all-in-process run bit-identically — reports, metering, and timing
+    /// breakdowns — whether batches ship as one jumbo frame or as
+    /// request-id frames at window 1 or 8. The two windows differ only in
+    /// how many frames are in flight, so they ship the same frames at the
+    /// same metered round trips.
     #[test]
     fn pipelined_socket_shards_run_32_owner_fleet_bit_identically() {
         let base = fleet_base(8, 47);
@@ -754,14 +761,25 @@ mod remote_backend {
             .run(&EngineConfig::default(), &[])
             .expect("in-process 32-owner fleet");
 
-        let piped = tcp_fleet_run(
-            configs(),
-            2,
+        let mut windowed = Vec::new();
+        for mode in [
+            WireMode::Jumbo,
+            WireMode::Pipelined { window: 1 },
             WireMode::Pipelined { window: 8 },
-            &EngineConfig::default(),
+        ] {
+            let (remote, counters) = tcp_fleet_run(configs(), 2, mode, &EngineConfig::default());
+            assert_reports_identical(&local, &remote);
+            assert!(remote.rpc_per_endpoint[1].total_calls() > 0);
+            let frames_sent: u64 = counters.iter().map(WireCounter::frames_sent).sum();
+            assert!(frames_sent > 0, "{mode:?} shipped no frames");
+            if mode != WireMode::Jumbo {
+                windowed.push((frames_sent, remote.rpc.round_trips));
+            }
+        }
+        assert_eq!(
+            windowed[0], windowed[1],
+            "windows 1 and 8 must ship the same frames at the same metered round trips"
         );
-        assert_reports_identical(&local, &piped);
-        assert!(piped.rpc_per_endpoint[1].total_calls() > 0);
     }
 
     /// The push-streaming acceptance pin: with event watching on, the
@@ -794,7 +812,7 @@ mod remote_backend {
                 .run(&engine, &[])
                 .expect("pipe-backed watched fleet");
 
-        let tcp = tcp_fleet_run(configs(), 2, WireMode::Pipelined { window: 8 }, &engine);
+        let (tcp, _) = tcp_fleet_run(configs(), 2, WireMode::Pipelined { window: 8 }, &engine);
 
         assert_eq!(
             (local.events_observed, local.event_digest),
@@ -829,7 +847,7 @@ mod remote_backend {
         let owners: usize = local.sessions.iter().map(|s| s.payments.len()).sum();
         assert_eq!(owners, 1024);
 
-        let piped = tcp_fleet_run(
+        let (piped, _) = tcp_fleet_run(
             configs(),
             4,
             WireMode::Pipelined { window: 64 },
