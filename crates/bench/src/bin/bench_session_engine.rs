@@ -131,7 +131,7 @@ fn main() {
 
     // One shared chain, four markets of eight owners each — the whole fleet
     // finishes in roughly the virtual time one serial owner used to need.
-    let (_, multi) = MultiMarket::replicated(&sweep_config(8), 4)
+    let (_, multi) = MultiMarket::replicated_sharded(&sweep_config(8), 4, 1)
         .run(&EngineConfig::default(), &[])
         .expect("multi-market run");
     println!(

@@ -34,8 +34,10 @@ use crate::market::{
 };
 use crate::scenario::FailurePlan;
 use crate::world::{ShardConfig, ShardSpec, World, WorldError};
+use ofl_eth::abi;
 use ofl_eth::block::Receipt;
 use ofl_eth::chain::LogFilter;
+use ofl_eth::contracts::UPLOAD_CID_SIG;
 use ofl_eth::tx::{sign_tx, TxRequest};
 use ofl_ipfs::cid::Cid;
 use ofl_netsim::clock::{SimDuration, SimInstant};
@@ -258,23 +260,18 @@ impl MultiMarket {
         MultiMarket { world, sessions }
     }
 
-    /// `markets` copies of `base` with decorrelated data/model seeds — the
-    /// "4×8" style regimes — all placed on one shard.
-    pub fn replicated(base: &MarketConfig, markets: usize) -> MultiMarket {
-        MultiMarket::new(Self::replica_configs(base, markets, 1))
-    }
-
-    /// `markets` decorrelated copies of `base` spread round-robin across
-    /// `shards` chains — the cross-shard contention regime. A shard count
-    /// of 0 is treated as 1 (a pool cannot be empty).
+    /// `markets` copies of `base` with decorrelated data/model seeds, spread
+    /// round-robin across `shards` chains: all on one chain for the "4×8"
+    /// style regimes, the cross-shard contention regime otherwise. A shard
+    /// count of 0 is treated as 1 (a pool cannot be empty).
     pub fn replicated_sharded(base: &MarketConfig, markets: usize, shards: usize) -> MultiMarket {
         let shards = shards.max(1);
         MultiMarket::with_shards(Self::replica_configs(base, markets, shards), shards)
     }
 
-    /// The decorrelated per-market configurations `replicated`/
-    /// `replicated_sharded` build — public so callers can reuse the exact
-    /// same fleet with a different shard mounting.
+    /// The decorrelated per-market configurations `replicated_sharded`
+    /// builds — public so callers can reuse the exact same fleet with a
+    /// different shard mounting.
     pub fn replica_configs(
         base: &MarketConfig,
         markets: usize,
@@ -905,9 +902,7 @@ impl<'a> Driver<'a> {
         // post-mine pump inside `mine_slot` continues from here, so watched
         // streams see the same deliveries whether or not anyone front-runs.
         self.world.pump_notifications();
-        let selector: [u8; 4] = ModelMarketContract::upload_cid_calldata("")[..4]
-            .try_into()
-            .expect("calldata starts with a 4-byte selector");
+        let selector = abi::selector(UPLOAD_CID_SIG);
         for m in 0..self.markets.len() {
             let Some(sub) = self.markets[m].freeload_sub else {
                 continue;
@@ -1218,7 +1213,7 @@ mod tests {
 
     #[test]
     fn multi_market_sessions_complete_on_one_chain() {
-        let mm = MultiMarket::replicated(&tiny(3), 2);
+        let mm = MultiMarket::replicated_sharded(&tiny(3), 2, 1);
         assert_eq!(mm.sessions.len(), 2);
         let genesis_supply = mm.world.chain(EndpointId(0)).state().total_supply();
         let (mm, report) = mm.run(&EngineConfig::default(), &[]).expect("runs");
@@ -1253,7 +1248,7 @@ mod tests {
     #[test]
     fn engine_reruns_are_deterministic() {
         let run = || {
-            let (_, report) = MultiMarket::replicated(&tiny(3), 2)
+            let (_, report) = MultiMarket::replicated_sharded(&tiny(3), 2, 1)
                 .run(&EngineConfig::default(), &[])
                 .expect("runs");
             report

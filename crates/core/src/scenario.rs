@@ -5,10 +5,10 @@
 //! and before this module each caller hand-rolled the session loop. A
 //! [`Scenario`] bundles a [`MarketConfig`] (owner count, partition scheme,
 //! seed) with a [`FailurePlan`] (dropped IPFS blocks, reverted transactions,
-//! freeloading owners, silent dropouts) and an [`ExecutionMode`] (serial
-//! workflow, event-driven concurrent owners, or several markets sharing one
-//! chain), and executes the workflow step by step, injecting the failures
-//! at the layer where they would really occur:
+//! freeloading owners, silent dropouts) and an [`ExecutionMode`] (the
+//! serial workflow, or one or more event-driven markets of concurrent
+//! owners sharing a world), and executes the workflow step by step,
+//! injecting the failures at the layer where they would really occur:
 //!
 //! - **Freeloaders** train on a 3-example silo, so their "model" is noise —
 //!   the incentive layer should price them near zero.
@@ -83,16 +83,11 @@ impl FailurePlan {
 pub enum ExecutionMode {
     /// The original workflow: one participant at a time on one clock.
     Serial,
-    /// The discrete-event engine: owners act concurrently, transactions
-    /// share blocks.
-    Concurrent {
-        /// Owner arrival pattern.
-        arrivals: Arrivals,
-    },
-    /// `markets` replicated sessions sharing one world, all driven by the
-    /// event engine. With `shards == 1` every market contends for one
-    /// chain's blocks; with more, markets are spread round-robin across
-    /// the pool's endpoints and contend only with same-shard siblings.
+    /// The discrete-event engine: `markets` replicated sessions sharing
+    /// one world, owners acting concurrently and transactions sharing
+    /// blocks. With `shards == 1` every market contends for one chain's
+    /// blocks; with more, markets are spread round-robin across the pool's
+    /// endpoints and contend only with same-shard siblings.
     MultiMarket {
         /// How many concurrent marketplace sessions.
         markets: usize,
@@ -225,10 +220,13 @@ impl Scenario {
         self
     }
 
-    /// Shorthand: event-driven, all owners arriving at once.
+    /// Shorthand: one event-driven market on one chain, all owners
+    /// arriving at once.
     pub fn concurrent(self) -> Scenario {
-        self.with_mode(ExecutionMode::Concurrent {
+        self.with_mode(ExecutionMode::MultiMarket {
+            markets: 1,
             arrivals: Arrivals::Simultaneous,
+            shards: 1,
         })
     }
 
@@ -237,7 +235,6 @@ impl Scenario {
     pub fn run(&self) -> Result<ScenarioOutcome, MarketError> {
         match self.mode {
             ExecutionMode::Serial => self.run_serial(),
-            ExecutionMode::Concurrent { arrivals } => self.run_event_driven(1, arrivals, 1),
             ExecutionMode::MultiMarket {
                 markets,
                 arrivals,
@@ -373,11 +370,7 @@ impl Scenario {
         arrivals: Arrivals,
         shards: usize,
     ) -> Result<ScenarioOutcome, MarketError> {
-        let mut mm = if markets <= 1 {
-            MultiMarket::new(vec![self.config.clone()])
-        } else {
-            MultiMarket::replicated_sharded(&self.config, markets, shards)
-        };
+        let mut mm = MultiMarket::replicated_sharded(&self.config, markets, shards);
         let supply_and_burn = |mm: &mut MultiMarket| {
             (0..mm.world.endpoints()).fold((U256::ZERO, U256::ZERO), |(s, b), i| {
                 let supply = mm.world.total_supply(EndpointId(i));
@@ -769,8 +762,10 @@ impl ScenarioSuite {
             .push(Scenario::new("concurrent-8", eight_owners).concurrent())
             .push(
                 Scenario::small("staggered-4", PartitionScheme::Iid, seed.wrapping_add(1))
-                    .with_mode(ExecutionMode::Concurrent {
+                    .with_mode(ExecutionMode::MultiMarket {
+                        markets: 1,
                         arrivals: Arrivals::Staggered(SimDuration::from_secs(10)),
+                        shards: 1,
                     }),
             )
             .push(

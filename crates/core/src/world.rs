@@ -221,13 +221,13 @@ impl ShardSpec {
     }
 
     /// Builds this shard's endpoint stack.
-    fn into_endpoint(self, profile: NetworkProfile, envelope_bytes: u64) -> Box<dyn NodeProvider> {
+    fn into_endpoint(self, profile: NetworkProfile) -> Box<dyn NodeProvider> {
         match self {
             ShardSpec::Local(config) => build_provider(
                 Chain::new(config.chain.clone(), &config.genesis),
                 Swarm::new(),
                 profile,
-                envelope_bytes,
+                DEFAULT_TX_WIRE_BYTES,
                 config.knobs(),
             ),
             ShardSpec::Remote { endpoint, config } => {
@@ -240,7 +240,7 @@ impl ShardSpec {
                     config.chain,
                     config.genesis,
                     profile,
-                    envelope_bytes,
+                    DEFAULT_TX_WIRE_BYTES,
                     knobs,
                 )
                 .unwrap_or_else(|e| panic!("cannot provision remote shard at {endpoint}: {e}"))
@@ -255,6 +255,10 @@ impl ShardSpec {
 /// shards, benches) decorate their stacks identically.
 pub const DEFAULT_TX_WIRE_BYTES: u64 = 250;
 
+/// How many times a transient (timed-out or rate-limited) request is
+/// retried before the world gives up with [`WorldError::Rpc`].
+const MAX_RPC_RETRIES: u32 = 6;
+
 /// The shared substrate every participant interacts with.
 pub struct World {
     /// Virtual time.
@@ -267,11 +271,6 @@ pub struct World {
     chain_configs: Vec<ChainConfig>,
     /// Link models.
     pub profile: NetworkProfile,
-    /// Approximate wire size of a request envelope (for RPC timing).
-    pub tx_wire_bytes: u64,
-    /// How many times a transient (timed-out or rate-limited) request is
-    /// retried before the world gives up with [`WorldError::Rpc`].
-    pub max_rpc_retries: u32,
     /// Whether receipt polls for many hashes ride one batched round trip
     /// (the default) or one request each — the knob the engine bench sweeps.
     pub batch_receipt_polls: bool,
@@ -325,10 +324,9 @@ impl World {
     /// decorator stack, so the rest of the system cannot tell them apart.
     pub fn from_shards(shards: Vec<ShardSpec>, profile: NetworkProfile) -> World {
         assert!(!shards.is_empty(), "a world needs at least one shard");
-        let tx_wire_bytes = DEFAULT_TX_WIRE_BYTES;
         let endpoints = shards
             .into_iter()
-            .map(|spec| spec.into_endpoint(profile, tx_wire_bytes))
+            .map(|spec| spec.into_endpoint(profile))
             .collect();
         World::from_endpoints(endpoints, profile)
     }
@@ -357,8 +355,6 @@ impl World {
             pool,
             chain_configs,
             profile,
-            tx_wire_bytes: DEFAULT_TX_WIRE_BYTES,
-            max_rpc_retries: 6,
             batch_receipt_polls: true,
             batch_cid_reads: true,
             inbox: BTreeMap::new(),
@@ -534,7 +530,7 @@ impl World {
             let Billed { value, cost } = op(self.pool.endpoint(endpoint));
             total = total.saturating_add(cost);
             match value {
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RPC_RETRIES => {
                     attempt += 1;
                 }
                 other => return (other, total),
@@ -552,7 +548,7 @@ impl World {
     pub fn tx_submit_time(&self, data_len: usize) -> SimDuration {
         self.profile
             .rpc
-            .transfer_time(self.tx_wire_bytes + data_len as u64)
+            .transfer_time(DEFAULT_TX_WIRE_BYTES + data_len as u64)
     }
 
     /// The first slot boundary (in whole seconds) strictly after instant
@@ -605,7 +601,7 @@ impl World {
                 .fold(total, |acc, r| acc.saturating_add(r.cost));
             match decode_tx_env(&responses) {
                 Ok(env) => return Ok((env, total)),
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RPC_RETRIES => {
                     attempt += 1;
                 }
                 Err(e) => return Err(WorldError::Rpc(e)),
@@ -641,7 +637,7 @@ impl World {
             let Billed { value, cost: c } = self.pool.endpoint(endpoint).send_raw_transaction(&raw);
             match value {
                 Ok(hash) => return Ok((hash, cost)),
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RPC_RETRIES => {
                     cost = cost.saturating_add(c);
                     attempt += 1;
                 }

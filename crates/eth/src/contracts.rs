@@ -390,6 +390,11 @@ impl CidStorage {
         abi::encode_call(UPLOAD_CID_SIG, &[Value::String(cid.to_string())])
     }
 
+    /// Calldata for `getCid(index)` — a free read.
+    pub fn get_cid_calldata(index: u64) -> Vec<u8> {
+        abi::encode_call(GET_CID_SIG, &[Value::Uint(U256::from(index))])
+    }
+
     /// Reads `cidCount()` (free).
     pub fn cid_count(&self, chain: &Chain, from: &H160) -> Result<u64, ContractError> {
         let result = chain.call(from, &self.address, abi::encode_call(CID_COUNT_SIG, &[]));
@@ -402,8 +407,7 @@ impl CidStorage {
 
     /// Reads `getCid(index)` (free).
     pub fn get_cid(&self, chain: &Chain, from: &H160, index: u64) -> Result<String, ContractError> {
-        let data = abi::encode_call(GET_CID_SIG, &[Value::Uint(U256::from(index))]);
-        let result = chain.call(from, &self.address, data);
+        let result = chain.call(from, &self.address, Self::get_cid_calldata(index));
         let values = decode_ok(&result, &[Type::String])?;
         values[0]
             .as_string()

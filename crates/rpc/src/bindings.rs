@@ -1,34 +1,22 @@
-//! Typed contract bindings over `ofl_eth::abi` and the [`EthApi`] trait.
+//! Typed contract binding over the [`EthApi`] trait.
 //!
-//! The [`contract_bindings!`](crate::contract_bindings) macro turns a declarative description of a
-//! contract's functions and events into a typed handle: read methods that
-//! encode the call, dispatch it through any [`EthApi`] provider, and decode
-//! the return into native Rust types with typed errors; calldata builders
-//! for transaction methods; and event topic/decode/range-query helpers.
-//! Nothing outside this layer ever touches a raw selector string.
-//!
-//! [`ModelMarketContract`] is the binding for the paper's `CidStorage`
-//! contract — the model market's on-chain CID registry.
-//!
-//! [`EthApi`]: crate::eth::EthApi
+//! [`ModelMarketContract`] is the handle for the paper's `CidStorage`
+//! contract — the model market's on-chain CID registry. Its reads dispatch
+//! through any [`EthApi`] provider and decode into native Rust types with
+//! typed errors. The ABI comes from `ofl_eth::contracts`: the signature
+//! constants the assembled runtime dispatches on, and that module's
+//! calldata builders and event topic, so the contract's interface is
+//! written down once.
 
-use crate::envelope::RpcError;
+use crate::envelope::{RpcError, RpcMethod, RpcRequest, RpcResult};
+use crate::eth::EthApi;
+use crate::Billed;
 use ofl_eth::abi::{self, AbiError, Type, Value};
-use ofl_eth::chain::CallResult;
-use ofl_primitives::u256::U256;
-use ofl_primitives::H160;
-
-/// Items the [`contract_bindings!`](crate::contract_bindings) macro expansion references. Not part of
-/// the public API surface; `pub` only so macro expansions in downstream
-/// crates resolve.
-#[doc(hidden)]
-pub mod __support {
-    pub use ofl_eth::abi;
-    pub use ofl_eth::block::Receipt;
-    pub use ofl_eth::chain::LogFilter;
-    pub use ofl_eth::evm::LogEntry;
-    pub use ofl_primitives::{H160, H256};
-}
+use ofl_eth::block::Receipt;
+use ofl_eth::chain::{CallResult, LogFilter};
+use ofl_eth::contracts::{cid_storage_init_code, CidStorage, CID_COUNT_SIG};
+use ofl_eth::evm::LogEntry;
+use ofl_primitives::{H160, H256};
 
 /// Typed errors from a contract binding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +27,7 @@ pub enum BindingError {
     Reverted(Vec<u8>),
     /// Returndata failed ABI decoding (truncated, trailing garbage, …).
     Decode(AbiError),
-    /// Returndata decoded, but not into the declared Rust type (e.g. a
+    /// Returndata decoded, but not into the expected Rust type (e.g. a
     /// `uint256` counter that does not fit `u64`).
     TypeMismatch,
 }
@@ -69,309 +57,156 @@ impl From<RpcError> for BindingError {
     }
 }
 
-/// Rust values that can travel as a single ABI argument.
-pub trait AbiArg {
-    /// Converts into the dynamic ABI value.
-    fn into_abi(self) -> Value;
-}
-
-impl AbiArg for U256 {
-    fn into_abi(self) -> Value {
-        Value::Uint(self)
-    }
-}
-impl AbiArg for u64 {
-    fn into_abi(self) -> Value {
-        Value::Uint(U256::from(self))
-    }
-}
-impl AbiArg for H160 {
-    fn into_abi(self) -> Value {
-        Value::Address(self)
-    }
-}
-impl AbiArg for bool {
-    fn into_abi(self) -> Value {
-        Value::Bool(self)
-    }
-}
-impl AbiArg for &str {
-    fn into_abi(self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-impl AbiArg for String {
-    fn into_abi(self) -> Value {
-        Value::String(self)
-    }
-}
-impl AbiArg for Vec<u8> {
-    fn into_abi(self) -> Value {
-        Value::Bytes(self)
+/// A successful call's returndata; a reverted call's payload as the error.
+fn returndata(result: &CallResult) -> Result<&[u8], BindingError> {
+    if result.success {
+        Ok(&result.output)
+    } else {
+        Err(BindingError::Reverted(result.output.clone()))
     }
 }
 
-/// Rust types that can be decoded from a single ABI return value.
-pub trait AbiRet: Sized {
-    /// The ABI type this decodes from.
-    const TYPE: Type;
-    /// Narrows the dynamic value; `None` when it does not fit.
-    fn from_abi(value: Value) -> Option<Self>;
+/// Decodes a call's returndata as one `uint256` that fits `u64`.
+fn decode_u64(result: &CallResult) -> Result<u64, BindingError> {
+    let mut values =
+        abi::decode(&[Type::Uint], returndata(result)?).map_err(BindingError::Decode)?;
+    values
+        .remove(0)
+        .as_uint()
+        .and_then(|u| u.to_u64())
+        .ok_or(BindingError::TypeMismatch)
 }
 
-impl AbiRet for U256 {
-    const TYPE: Type = Type::Uint;
-    fn from_abi(value: Value) -> Option<Self> {
-        value.as_uint()
-    }
-}
-impl AbiRet for u64 {
-    const TYPE: Type = Type::Uint;
-    fn from_abi(value: Value) -> Option<Self> {
-        value.as_uint().and_then(|u| u.to_u64())
-    }
-}
-impl AbiRet for H160 {
-    const TYPE: Type = Type::Address;
-    fn from_abi(value: Value) -> Option<Self> {
-        value.as_address()
-    }
-}
-impl AbiRet for bool {
-    const TYPE: Type = Type::Bool;
-    fn from_abi(value: Value) -> Option<Self> {
-        match value {
-            Value::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-}
-impl AbiRet for String {
-    const TYPE: Type = Type::String;
-    fn from_abi(value: Value) -> Option<Self> {
-        match value {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-impl AbiRet for Vec<u8> {
-    const TYPE: Type = Type::Bytes;
-    fn from_abi(value: Value) -> Option<Self> {
-        match value {
-            Value::Bytes(b) => Some(b),
-            _ => None,
-        }
+/// Decodes ABI data — a call's returndata or a log's payload — as one
+/// `string`.
+fn decode_string(data: &[u8]) -> Result<String, BindingError> {
+    let mut values = abi::decode(&[Type::String], data).map_err(BindingError::Decode)?;
+    match values.remove(0) {
+        Value::String(s) => Ok(s),
+        _ => Err(BindingError::TypeMismatch),
     }
 }
 
-/// Decodes a call's returndata into one typed value, surfacing reverts and
-/// corrupt returndata as typed errors.
-pub fn decode_return<T: AbiRet>(result: &CallResult) -> Result<T, BindingError> {
-    if !result.success {
-        return Err(BindingError::Reverted(result.output.clone()));
-    }
-    let mut values = abi::decode(&[T::TYPE], &result.output).map_err(BindingError::Decode)?;
-    T::from_abi(values.remove(0)).ok_or(BindingError::TypeMismatch)
-}
-
-/// Decodes an event's (unindexed) data payload into one typed value.
-pub fn decode_event_data<T: AbiRet>(data: &[u8]) -> Result<T, BindingError> {
-    let mut values = abi::decode(&[T::TYPE], data).map_err(BindingError::Decode)?;
-    T::from_abi(values.remove(0)).ok_or(BindingError::TypeMismatch)
-}
-
-/// Declares a typed contract binding.
-///
-/// ```ignore
-/// contract_bindings! {
-///     /// Docs for the generated handle.
-///     pub contract MyContract {
-///         init_code = my_init_code_fn;
-///         read counter ["counter()"] () -> u64;
-///         read entry ["entry(uint256)"] (index: u64) -> String;
-///         calldata set_entry_calldata ["setEntry(string)"] (value: &str);
-///         event {
-///             topic: updated_topic,
-///             decode: decode_updated,
-///             query: updated_in,
-///             sig: "Updated(string)",
-///             data: String
-///         }
-///     }
-/// }
-/// ```
-///
-/// Generated per `read`: a method dispatching a free `eth_call` through any
-/// [`EthApi`](crate::eth::EthApi) provider and decoding the declared return
-/// type. Per `calldata`: an associated function building the transaction
-/// calldata. Per `event`: the topic hash, a log decoder, and an
-/// `eth_getLogs` range query returning decoded payloads.
-#[macro_export]
-macro_rules! contract_bindings {
-    (
-        $(#[$cmeta:meta])*
-        pub contract $name:ident {
-            init_code = $init:path;
-            $( read $rfn:ident [$rsig:literal] ( $($rarg:ident : $rty:ty),* ) -> $rret:ty; )*
-            $( calldata $wfn:ident [$wsig:literal] ( $($warg:ident : $wty:ty),* ); )*
-            $( event {
-                topic: $etopic:ident,
-                decode: $edecode:ident,
-                query: $equery:ident,
-                sig: $esig:literal,
-                data: $eret:ty
-            } )*
-        }
-    ) => {
-        $(#[$cmeta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct $name {
-            /// Deployed contract address.
-            pub address: $crate::bindings::__support::H160,
-        }
-
-        impl $name {
-            /// Wraps an already-deployed address.
-            pub fn at(address: $crate::bindings::__support::H160) -> Self {
-                Self { address }
-            }
-
-            /// The deployable init code (broadcast it from any funded
-            /// account to create a fresh instance).
-            pub fn init_code() -> Vec<u8> {
-                $init()
-            }
-
-            /// Typed handle from a mined deployment receipt: fails on a
-            /// reverted deployment or a receipt without a contract address.
-            pub fn from_deploy_receipt(
-                receipt: &$crate::bindings::__support::Receipt,
-            ) -> Result<Self, $crate::bindings::BindingError> {
-                if !receipt.is_success() {
-                    return Err($crate::bindings::BindingError::Reverted(
-                        receipt.output.clone(),
-                    ));
-                }
-                receipt
-                    .contract_address
-                    .map(Self::at)
-                    .ok_or($crate::bindings::BindingError::TypeMismatch)
-            }
-
-            $(
-                #[doc = concat!("Typed free read of `", $rsig, "`.")]
-                pub fn $rfn<E: $crate::eth::EthApi + ?Sized>(
-                    &self,
-                    eth: &mut E,
-                    from: &$crate::bindings::__support::H160,
-                    $( $rarg: $rty, )*
-                ) -> $crate::Billed<Result<$rret, $crate::bindings::BindingError>> {
-                    let data = $crate::bindings::__support::abi::encode_call(
-                        $rsig,
-                        &[ $( $crate::bindings::AbiArg::into_abi($rarg) ),* ],
-                    );
-                    let billed = eth.call(from, &self.address, data);
-                    $crate::Billed {
-                        cost: billed.cost,
-                        value: billed
-                            .value
-                            .map_err($crate::bindings::BindingError::Rpc)
-                            .and_then(|result| $crate::bindings::decode_return::<$rret>(&result)),
-                    }
-                }
-            )*
-
-            $(
-                #[doc = concat!("ABI calldata for a `", $wsig, "` transaction.")]
-                pub fn $wfn( $( $warg: $wty ),* ) -> Vec<u8> {
-                    $crate::bindings::__support::abi::encode_call(
-                        $wsig,
-                        &[ $( $crate::bindings::AbiArg::into_abi($warg) ),* ],
-                    )
-                }
-            )*
-
-            $(
-                #[doc = concat!("Topic hash of `", $esig, "`.")]
-                pub fn $etopic() -> $crate::bindings::__support::H256 {
-                    $crate::bindings::__support::H256::from_bytes(
-                        $crate::bindings::__support::abi::event_topic($esig),
-                    )
-                }
-
-                #[doc = concat!("Decodes one `", $esig, "` log's data payload.")]
-                pub fn $edecode(
-                    log: &$crate::bindings::__support::LogEntry,
-                ) -> Result<$eret, $crate::bindings::BindingError> {
-                    $crate::bindings::decode_event_data::<$eret>(&log.data)
-                }
-
-                #[doc = concat!(
-                    "Typed `eth_getLogs` query for `", $esig,
-                    "` over the inclusive block range `[from_block, to_block]`."
-                )]
-                pub fn $equery<E: $crate::eth::EthApi + ?Sized>(
-                    &self,
-                    eth: &mut E,
-                    from_block: u64,
-                    to_block: u64,
-                ) -> $crate::Billed<Result<Vec<$eret>, $crate::bindings::BindingError>> {
-                    let filter = $crate::bindings::__support::LogFilter::all()
-                        .in_blocks(from_block, to_block)
-                        .at_address(self.address)
-                        .with_topic(Self::$etopic());
-                    let billed = eth.get_logs(&filter);
-                    $crate::Billed {
-                        cost: billed.cost,
-                        value: billed
-                            .value
-                            .map_err($crate::bindings::BindingError::Rpc)
-                            .and_then(|logs| {
-                                logs.iter().map(|entry| Self::$edecode(&entry.log)).collect()
-                            }),
-                    }
-                }
-            )*
-        }
-    };
-}
-
-contract_bindings! {
-    /// Typed handle for the model market's on-chain CID registry — the
-    /// paper's `CidStorage` contract (Fig 2). All selector encoding and
-    /// returndata decoding lives behind these methods; core never touches a
-    /// raw signature string.
-    pub contract ModelMarketContract {
-        init_code = ofl_eth::contracts::cid_storage_init_code;
-        read cid_count ["cidCount()"] () -> u64;
-        read get_cid ["getCid(uint256)"] (index: u64) -> String;
-        calldata upload_cid_calldata ["uploadCid(string)"] (cid: &str);
-        calldata get_cid_calldata ["getCid(uint256)"] (index: u64);
-        event {
-            topic: uploaded_topic,
-            decode: decode_uploaded,
-            query: uploaded_cids_in,
-            sig: "CidUploaded(string)",
-            data: String
-        }
-    }
+/// Typed handle for the model market's on-chain CID registry — the paper's
+/// `CidStorage` contract (Fig 2). All calldata encoding and returndata
+/// decoding lives behind these methods; core never touches a raw
+/// signature string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModelMarketContract {
+    /// Deployed contract address.
+    pub address: H160,
 }
 
 impl ModelMarketContract {
-    /// Reads every stored CID in upload order: one `cidCount` plus one
-    /// batched-friendly `getCid` per index.
-    pub fn all_cids<E: crate::eth::EthApi + ?Sized>(
+    /// Wraps an already-deployed address.
+    pub fn at(address: H160) -> Self {
+        Self { address }
+    }
+
+    /// The deployable init code (broadcast it from any funded account to
+    /// create a fresh instance).
+    pub fn init_code() -> Vec<u8> {
+        cid_storage_init_code()
+    }
+
+    /// Typed handle from a mined deployment receipt: fails on a reverted
+    /// deployment or a receipt without a contract address.
+    pub fn from_deploy_receipt(receipt: &Receipt) -> Result<Self, BindingError> {
+        if !receipt.is_success() {
+            return Err(BindingError::Reverted(receipt.output.clone()));
+        }
+        receipt
+            .contract_address
+            .map(Self::at)
+            .ok_or(BindingError::TypeMismatch)
+    }
+
+    /// One free `eth_call` to this contract, decoded by `decode`.
+    fn read<E: EthApi + ?Sized, T>(
         &self,
         eth: &mut E,
         from: &H160,
-    ) -> crate::Billed<Result<Vec<String>, BindingError>> {
+        data: Vec<u8>,
+        decode: impl FnOnce(&CallResult) -> Result<T, BindingError>,
+    ) -> Billed<Result<T, BindingError>> {
+        eth.call(from, &self.address, data)
+            .map(|called| called.map_err(BindingError::Rpc).and_then(|r| decode(&r)))
+    }
+
+    /// Typed free read of `cidCount`.
+    pub fn cid_count<E: EthApi + ?Sized>(
+        &self,
+        eth: &mut E,
+        from: &H160,
+    ) -> Billed<Result<u64, BindingError>> {
+        self.read(eth, from, abi::encode_call(CID_COUNT_SIG, &[]), decode_u64)
+    }
+
+    /// Typed free read of `getCid(index)`.
+    pub fn get_cid<E: EthApi + ?Sized>(
+        &self,
+        eth: &mut E,
+        from: &H160,
+        index: u64,
+    ) -> Billed<Result<String, BindingError>> {
+        self.read(eth, from, Self::get_cid_calldata(index), |r| {
+            returndata(r).and_then(decode_string)
+        })
+    }
+
+    /// ABI calldata for an `uploadCid(cid)` transaction.
+    pub fn upload_cid_calldata(cid: &str) -> Vec<u8> {
+        CidStorage::upload_cid_calldata(cid)
+    }
+
+    /// ABI calldata for a `getCid(index)` call.
+    pub fn get_cid_calldata(index: u64) -> Vec<u8> {
+        CidStorage::get_cid_calldata(index)
+    }
+
+    /// Topic hash of the `CidUploaded` event.
+    pub fn uploaded_topic() -> H256 {
+        CidStorage::uploaded_topic()
+    }
+
+    /// Decodes one `CidUploaded` log's data payload.
+    pub fn decode_uploaded(log: &LogEntry) -> Result<String, BindingError> {
+        decode_string(&log.data)
+    }
+
+    /// Typed `eth_getLogs` query for `CidUploaded` over the inclusive block
+    /// range `[from_block, to_block]`.
+    pub fn uploaded_cids_in<E: EthApi + ?Sized>(
+        &self,
+        eth: &mut E,
+        from_block: u64,
+        to_block: u64,
+    ) -> Billed<Result<Vec<String>, BindingError>> {
+        let filter = LogFilter::all()
+            .in_blocks(from_block, to_block)
+            .at_address(self.address)
+            .with_topic(Self::uploaded_topic());
+        eth.get_logs(&filter).map(|logs| {
+            logs.map_err(BindingError::Rpc)?
+                .iter()
+                .map(|entry| Self::decode_uploaded(&entry.log))
+                .collect()
+        })
+    }
+
+    /// Reads every stored CID in upload order: one `cidCount` plus one
+    /// batched-friendly `getCid` per index.
+    pub fn all_cids<E: EthApi + ?Sized>(
+        &self,
+        eth: &mut E,
+        from: &H160,
+    ) -> Billed<Result<Vec<String>, BindingError>> {
         let counted = self.cid_count(eth, from);
         let mut cost = counted.cost;
         let count = match counted.value {
             Ok(n) => n,
             Err(e) => {
-                return crate::Billed {
+                return Billed {
                     value: Err(e),
                     cost,
                 }
@@ -384,14 +219,14 @@ impl ModelMarketContract {
             match billed.value {
                 Ok(cid) => cids.push(cid),
                 Err(e) => {
-                    return crate::Billed {
+                    return Billed {
                         value: Err(e),
                         cost,
                     }
                 }
             }
         }
-        crate::Billed {
+        Billed {
             value: Ok(cids),
             cost,
         }
@@ -399,28 +234,26 @@ impl ModelMarketContract {
 
     /// Reads every stored CID in **two** provider round trips regardless of
     /// count: one `cidCount` call, then all `getCid` reads as a single
-    /// [`EthApi::batch`](crate::eth::EthApi::batch) — the Fig 7b
-    /// "download CIDs" path without the per-index wire tax.
-    pub fn all_cids_batched<E: crate::eth::EthApi + ?Sized>(
+    /// [`EthApi::batch`] — the Fig 7b "download CIDs" path without the
+    /// per-index wire tax.
+    pub fn all_cids_batched<E: EthApi + ?Sized>(
         &self,
         eth: &mut E,
         from: &H160,
-    ) -> crate::Billed<Result<Vec<String>, BindingError>> {
-        use crate::envelope::{RpcMethod, RpcRequest, RpcResult};
-
+    ) -> Billed<Result<Vec<String>, BindingError>> {
         let counted = self.cid_count(eth, from);
         let mut cost = counted.cost;
         let count = match counted.value {
             Ok(n) => n,
             Err(e) => {
-                return crate::Billed {
+                return Billed {
                     value: Err(e),
                     cost,
                 }
             }
         };
         if count == 0 {
-            return crate::Billed {
+            return Billed {
                 value: Ok(Vec::new()),
                 cost,
             };
@@ -444,21 +277,21 @@ impl ModelMarketContract {
         for response in responses {
             cost = cost.saturating_add(response.cost);
             let decoded = match response.result {
-                Ok(RpcResult::Call(call)) => decode_return::<String>(&call),
+                Ok(RpcResult::Call(call)) => returndata(&call).and_then(decode_string),
                 Ok(_) => Err(BindingError::Rpc(RpcError::UnexpectedResponse)),
                 Err(e) => Err(BindingError::Rpc(e)),
             };
             match decoded {
                 Ok(cid) => cids.push(cid),
                 Err(e) => {
-                    return crate::Billed {
+                    return Billed {
                         value: Err(e),
                         cost,
                     }
                 }
             }
         }
-        crate::Billed {
+        Billed {
             value: Ok(cids),
             cost,
         }
@@ -473,6 +306,7 @@ mod tests {
     use ofl_eth::chain::{Chain, ChainConfig};
     use ofl_eth::wallet::Wallet;
     use ofl_ipfs::swarm::Swarm;
+    use ofl_primitives::u256::U256;
     use ofl_primitives::wei_per_eth;
 
     struct Fixture {
@@ -584,6 +418,12 @@ mod tests {
             .value
             .unwrap();
         assert_eq!(per_call, batched);
+        // Cross-layer oracle: the chain-level reader agrees with the
+        // provider-level handle.
+        let reference = CidStorage::at(f.contract.address)
+            .all_cids(&f.provider.chain, &f.caller)
+            .unwrap();
+        assert_eq!(reference, batched);
         // Round-trip accounting through a metered stack: 1 count + 1 batch.
         let mut metered = crate::decorate(
             Box::new(f.provider),
@@ -644,7 +484,7 @@ mod tests {
             gas_used: 0,
         };
         assert_eq!(
-            decode_return::<u64>(&corrupt),
+            decode_u64(&corrupt),
             Err(BindingError::Decode(AbiError::TrailingData))
         );
     }
@@ -658,10 +498,7 @@ mod tests {
             output,
             gas_used: 0,
         };
-        assert_eq!(
-            decode_return::<u64>(&result),
-            Err(BindingError::TypeMismatch)
-        );
+        assert_eq!(decode_u64(&result), Err(BindingError::TypeMismatch));
     }
 
     #[test]

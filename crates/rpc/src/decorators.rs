@@ -193,25 +193,15 @@ pub struct SubLagProfile {
     /// (each subscription draws a fixed lag in `0..=max_delay_slots` when
     /// its first notification arrives).
     pub max_delay_slots: u64,
-    /// Also shuffle each released batch with the seeded stream — the
-    /// out-of-order push wire.
-    pub reorder: bool,
 }
 
 impl SubLagProfile {
-    /// A delay-only profile (no reordering).
+    /// A profile lagging each subscription by up to `max_delay_slots`.
     pub fn new(seed: u64, max_delay_slots: u64) -> SubLagProfile {
         SubLagProfile {
             seed,
             max_delay_slots,
-            reorder: false,
         }
-    }
-
-    /// The same profile with released batches also shuffled.
-    pub fn with_reorder(mut self) -> SubLagProfile {
-        self.reorder = true;
-        self
     }
 }
 
@@ -501,9 +491,6 @@ impl SubLag {
             }
         }
         self.held = still;
-        if self.profile.reorder {
-            shuffle(&mut self.rng, &mut released);
-        }
         released
     }
 }

@@ -22,9 +22,9 @@
 //!   faults an [`EndpointFaults`] switches on: 429s past a per-slot quota,
 //!   drops/timeouts, lagging-replica reads, slot-long stalls, shuffled
 //!   batch replies (tags intact) and delayed push deliveries.
-//! - [`bindings`]: the [`contract_bindings!`] macro and the generated
-//!   [`ModelMarketContract`] handle — typed contract calls with typed
-//!   decode errors, no raw selector strings.
+//! - [`bindings`]: [`ModelMarketContract`], the typed `CidStorage` handle
+//!   over any [`EthApi`] — reads with typed decode errors, its ABI taken
+//!   from `ofl_eth::contracts`.
 //! - [`backstage`]: the simulator's side channel (mining, invariant reads,
 //!   failure injection) as wire-able [`BackstageOp`] values instead of
 //!   reference accessors.
@@ -65,7 +65,7 @@ pub mod sub;
 pub mod transport;
 
 pub use backstage::{BackstageOp, BackstageReply};
-pub use bindings::{AbiArg, AbiRet, BindingError, ModelMarketContract};
+pub use bindings::{BindingError, ModelMarketContract};
 pub use codec::CodecError;
 pub use decorators::{
     FaultProfile, MethodStats, ProviderMetrics, RateLimitProfile, ReorderProfile, SpikeProfile,

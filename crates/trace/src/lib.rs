@@ -47,7 +47,7 @@ pub mod metrics;
 mod sink;
 
 pub use collector::Tracer;
-pub use sink::{ChromeSink, JsonlSink, Trace, TraceSink};
+pub use sink::Trace;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};

@@ -1,6 +1,7 @@
-//! Trace exporters: deterministic JSONL (the byte-reproducible format the
-//! regression tests pin) and Chrome-trace JSON (`chrome://tracing` /
-//! Perfetto).
+//! The merged [`Trace`] and its two exporters, [`Trace::to_jsonl`]
+//! (deterministic JSONL, the byte-reproducible format the regression tests
+//! pin) and [`Trace::to_chrome_trace`] (Chrome-trace JSON for
+//! `chrome://tracing` / Perfetto).
 //!
 //! The JSONL exporter contains **no wall-clock data** — its output is a
 //! pure function of the event stream, so two same-seed runs produce
@@ -19,31 +20,6 @@ pub struct Trace {
     /// Events lost to lane-ring overflow (0 in any healthy run; the
     /// determinism tests assert on it).
     pub dropped: u64,
-}
-
-/// Renders a merged trace to one of the export formats.
-pub trait TraceSink {
-    /// Serializes the trace.
-    fn export(&self, trace: &Trace) -> String;
-}
-
-/// The deterministic JSONL format: one meta line, then one event per line.
-pub struct JsonlSink;
-
-/// The Chrome-trace format (open via `chrome://tracing` or
-/// <https://ui.perfetto.dev>).
-pub struct ChromeSink;
-
-impl TraceSink for JsonlSink {
-    fn export(&self, trace: &Trace) -> String {
-        trace.to_jsonl()
-    }
-}
-
-impl TraceSink for ChromeSink {
-    fn export(&self, trace: &Trace) -> String {
-        trace.to_chrome_trace()
-    }
 }
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
@@ -210,15 +186,6 @@ mod tests {
         assert!(out.contains("\"ph\":\"i\""));
         assert!(out.contains("\"clock\":\"virtual-us\""));
         assert!(out.contains("\"exported_unix_ms\":"));
-    }
-
-    #[test]
-    fn sinks_delegate_to_the_formats() {
-        let t = sample();
-        assert_eq!(JsonlSink.export(&t), t.to_jsonl());
-        // Chrome export stamps wall time; compare the deterministic prefix.
-        let a = ChromeSink.export(&t);
-        assert!(a.starts_with("{\"traceEvents\":["));
     }
 
     #[test]

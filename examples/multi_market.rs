@@ -37,7 +37,7 @@ fn main() {
     println!("OFL-W3 multi-market worlds: 4 concurrent sessions, one chain\n");
 
     // 4 markets × 8 owners, decorrelated seeds, everyone arriving at once.
-    let mm = MultiMarket::replicated(&base_config(), 4);
+    let mm = MultiMarket::replicated_sharded(&base_config(), 4, 1);
     let (mm, report) = mm
         .run(&EngineConfig::default(), &[])
         .expect("all four sessions complete");
