@@ -332,7 +332,6 @@ backend boundary, 8 owners (in-process vs rpcd over the frame codec):"
         backend_boundary_8_owners: boundary,
     };
     write_record("bench_session_engine", &record);
-    // The same record also lands in the durable perf trajectory at the
-    // repo root, where CI uploads it per PR.
+    // The same record is also committed at the repo root.
     write_bench("session_engine", &record);
 }

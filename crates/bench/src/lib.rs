@@ -30,10 +30,8 @@ pub fn write_record<T: Serialize>(name: &str, record: &T) {
     println!("\n[record written to {}]", path.display());
 }
 
-/// Writes the durable perf-trajectory record `BENCH_<name>.json` at the
-/// repository root, where CI uploads it as an artifact — one file per
-/// bench, overwritten per run, so the repo carries a machine-readable
-/// performance trajectory instead of anecdotes.
+/// Writes the committed record `BENCH_<name>.json` at the repository
+/// root — one file per bench, overwritten per run.
 pub fn write_bench<T: Serialize>(name: &str, record: &T) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
     let json = serde_json::to_string_pretty(record).expect("serializable bench record");

@@ -1308,20 +1308,42 @@ mod tests {
             ..EngineConfig::default()
         };
         let run = || {
-            let (_, report) = MultiMarket::new(vec![tiny(3)])
+            MultiMarket::new(vec![tiny(3)])
                 .run(&watched, &[])
-                .expect("watched run");
-            (report.events_observed, report.event_digest)
+                .expect("watched run")
+                .1
         };
-        let a = run();
+        let report = run();
+        let a = (report.events_observed, report.event_digest);
         // Heads and pending transactions both crossed the watchers.
         assert!(a.0 > 0, "watchers must observe the run's events");
-        assert_eq!(a, run(), "the event stream digest is a pure function");
+        let again = run();
+        assert_eq!(
+            a,
+            (again.events_observed, again.event_digest),
+            "the event stream digest is a pure function"
+        );
         // An unwatched run opens no subscriptions and observes nothing.
         let (_, quiet) = MultiMarket::new(vec![tiny(3)])
             .run(&EngineConfig::default(), &[])
             .expect("unwatched run");
         assert_eq!(quiet.events_observed, 0);
+        // Watching does not perturb the run: same virtual time and the
+        // same aggregate per session.
+        assert_eq!(report.total_sim_seconds, quiet.total_sim_seconds);
+        let accuracies = |r: &EngineReport| -> Vec<f64> {
+            r.sessions.iter().map(|s| s.aggregated_accuracy).collect()
+        };
+        assert_eq!(accuracies(&report), accuracies(&quiet));
+        // Deliveries ride replies already crossing the wire, so watching
+        // costs fewer extra round trips than polling heads and logs once
+        // per mined block would.
+        let extra = report.rpc.round_trips - quiet.rpc.round_trips;
+        assert!(
+            extra < 2 * report.blocks_mined,
+            "push watching cost {extra} extra round trips over {} blocks",
+            report.blocks_mined
+        );
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! [`Frame::Backstage`].
 //!
 //! Because the daemon's bare backend prices nothing (costs come back zero,
-//! exactly like a local `SimProvider`), the ordinary client-side decorator
-//! stack — `Metered(Latency(Flaky(…)))` — wraps a `SocketProvider`
-//! unchanged and prices, faults, and meters remote traffic *identically*
-//! to in-process traffic. That is what makes a remote-backed world
+//! exactly like a local `SimProvider`), the ordinary client-side endpoint
+//! stack that [`decorate`] builds (faults, latency pricing, metering, in
+//! one fixed order) wraps a `SocketProvider` unchanged and prices, faults,
+//! and meters remote traffic *identically* to in-process traffic. That is what makes a remote-backed world
 //! bit-reproducible against an in-process one.
 //!
 //! The one thing a socket cannot carry is a Rust reference: the

@@ -273,10 +273,18 @@ impl Connection {
                     Err(error) => Frame::Error(error),
                 }
             }
-            Frame::Backstage(op) => match self.with_provider(session, |p| p.backstage(&op)) {
-                Ok(reply) => Frame::BackstageReply(reply),
-                Err(error) => Frame::Error(error),
-            },
+            Frame::Backstage(op) => {
+                let served = match op {
+                    BackstageOp::DropIpfsBlock { node, .. } => {
+                        self.with_ipfs(session, node, |p| p.backstage(&op))
+                    }
+                    _ => self.with_provider(session, |p| p.backstage(&op)),
+                };
+                match served {
+                    Ok(reply) => Frame::BackstageReply(reply),
+                    Err(error) => Frame::Error(error),
+                }
+            }
             Frame::Subscribe { kind } => match self.with_provider(session, |p| p.subscribe(kind)) {
                 Ok(sub_id) => {
                     *self.subs.entry(session).or_insert(0) += 1;
@@ -393,7 +401,8 @@ impl Connection {
 
     /// Like [`Connection::with_provider`], additionally bounds-checking
     /// the IPFS node index so a buggy client cannot crash the daemon
-    /// thread.
+    /// thread. IPFS frames and backstage ops that name a node both pass
+    /// through here.
     fn with_ipfs<R>(
         &mut self,
         session: u64,
@@ -908,6 +917,13 @@ mod tests {
             data: vec![1],
         });
         assert!(matches!(reply, Frame::Error(ProtocolError::Unsupported(_))));
+        // A backstage op naming an out-of-range IPFS node, likewise.
+        let (reply, done) = conn.handle(Frame::Backstage(BackstageOp::DropIpfsBlock {
+            node: 3,
+            cid: ofl_ipfs::Cid::v0_of(&[1]),
+        }));
+        assert!(matches!(reply, Frame::Error(ProtocolError::Unsupported(_))));
+        assert!(!done);
         // A session nobody provisioned → typed error naming the session.
         let (reply, _) = conn.handle(Frame::Request {
             id: 1,

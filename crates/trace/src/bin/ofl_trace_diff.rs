@@ -7,7 +7,8 @@
 //!
 //! Exit codes: `0` identical event streams, `1` divergence found (the
 //! first divergent pair is printed), `2` usage or I/O error. Gzip'd
-//! traces (as written by `bench_fleet --trace`) are decoded transparently.
+//! traces (as written by [`ofl_trace::gzip::gzip_stored`] over
+//! [`ofl_trace::Trace::to_jsonl`]) are decoded transparently.
 
 #![forbid(unsafe_code)]
 

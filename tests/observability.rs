@@ -9,6 +9,7 @@
 //! And tracing itself must be a pure observer: enabling it changes no
 //! report field.
 
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ofl_w3::core::config::{MarketConfig, PartitionScheme};
@@ -19,6 +20,8 @@ use ofl_w3::rpc::{
     provision_socket_provider, provision_socket_provider_via, RemoteEndpoint, WireMode,
 };
 use ofl_w3::rpcd::{DaemonOptions, PipeTransport};
+use ofl_w3::trace::diff::diff_jsonl;
+use ofl_w3::trace::DEFAULT_CATEGORIES;
 
 /// The tracer and the executor flag are process-global, so every test that
 /// installs a recorder or flips `set_parallel` holds this for its whole
@@ -54,7 +57,29 @@ fn traced_run(f: impl FnOnce() -> EngineReport) -> (EngineReport, String) {
     let trace = ofl_w3::trace::stop_tracing(tracer);
     assert_eq!(trace.dropped, 0, "collector lanes must not overflow");
     assert!(!trace.events.is_empty(), "a traced run emits events");
+    let leaked: BTreeSet<&str> = trace
+        .events
+        .iter()
+        .filter(|e| e.cat.bit() & DEFAULT_CATEGORIES == 0)
+        .map(|e| e.cat.label())
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "non-default categories leaked into the trace: {leaked:?}"
+    );
     (report, trace.to_jsonl())
+}
+
+/// The first event line where two exported traces part ways, for failure
+/// messages: "traces differ" alone leaves nothing to triage.
+fn first_divergence(a: &str, b: &str) -> String {
+    match diff_jsonl(a, b).divergence {
+        Some(d) => format!(
+            "first divergence at line {} / {}:\n  left:  {}\n  right: {}",
+            d.line_a, d.line_b, d.a, d.b
+        ),
+        None => "event lines agree; the meta lines differ".to_string(),
+    }
 }
 
 fn in_process(configs: Vec<MarketConfig>, shards: usize) -> EngineReport {
@@ -154,8 +179,12 @@ fn same_seed_traces_are_byte_identical_across_runs_and_backends() {
         digest(&untraced),
         "enabling tracing must not perturb the simulation"
     );
-    assert!(first == second, "same-seed traces must be byte-identical");
-    let report = ofl_w3::trace::diff::diff_jsonl(&first, &second);
+    assert!(
+        first == second,
+        "same-seed traces must be byte-identical; {}",
+        first_divergence(&first, &second)
+    );
+    let report = diff_jsonl(&first, &second);
     assert!(report.divergence.is_none());
     assert_eq!(report.compared as usize + 1, first.lines().count());
 
@@ -165,19 +194,22 @@ fn same_seed_traces_are_byte_identical_across_runs_and_backends() {
     assert_eq!(digest(&pipe_report), digest(&untraced));
     assert!(
         first == piped,
-        "pipe-backed trace must match the in-process trace byte-for-byte"
+        "pipe-backed trace must match the in-process trace byte-for-byte; {}",
+        first_divergence(&first, &piped)
     );
     let (tcp_report, tcp) = traced_run(|| tcp_backed(configs(), 2));
     assert_eq!(digest(&tcp_report), digest(&untraced));
     assert!(
         first == tcp,
-        "TCP-pipelined trace must match the in-process trace byte-for-byte"
+        "TCP-pipelined trace must match the in-process trace byte-for-byte; {}",
+        first_divergence(&first, &tcp)
     );
 }
 
 /// The off-thread collector merges per-source lanes in `(ts, source, seq)`
 /// order, so flipping the shard executor — serial closures on the caller
-/// thread vs fork/join worker threads — changes nothing in the export.
+/// thread vs fork/join worker threads — changes nothing in the export, nor
+/// in a watched fleet's push event stream.
 #[test]
 fn serial_and_parallel_executors_merge_identical_traces() {
     let _guard = trace_lock();
@@ -189,12 +221,30 @@ fn serial_and_parallel_executors_merge_identical_traces() {
     let (serial_report, serial) = traced_run(|| in_process(configs(), 2));
     set_parallel(true);
     let (parallel_report, parallel) = traced_run(|| in_process(configs(), 2));
+    // Push event streams do not depend on the executor either.
+    let watched_events = |parallel: bool| {
+        set_parallel(parallel);
+        let watch = EngineConfig {
+            watch_events: true,
+            ..EngineConfig::default()
+        };
+        let (_, report) = MultiMarket::with_shards(configs(), 2)
+            .run(&watch, &[])
+            .expect("watched fleet run");
+        (report.events_observed, report.event_digest)
+    };
+    let serial_events = watched_events(false);
+    let parallel_events = watched_events(true);
     set_parallel(was_parallel);
+
+    assert!(serial_events.0 > 0, "a watched fleet observes events");
+    assert_eq!(serial_events, parallel_events);
 
     assert_eq!(digest(&serial_report), digest(&parallel_report));
     assert!(
         serial == parallel,
-        "serial and parallel executors must merge to identical traces"
+        "serial and parallel executors must merge to identical traces; {}",
+        first_divergence(&serial, &parallel)
     );
 }
 
@@ -212,7 +262,7 @@ fn trace_diff_pinpoints_the_first_divergent_event() {
     let a = run(91);
     let b = run(92);
 
-    let report = ofl_w3::trace::diff::diff_jsonl(&a, &b);
+    let report = diff_jsonl(&a, &b);
     let divergence = report
         .divergence
         .expect("different seeds must produce divergent traces");
@@ -226,7 +276,15 @@ fn trace_diff_pinpoints_the_first_divergent_event() {
     // byte-identical — so diffing artifacts equals diffing exports.
     let gz = ofl_w3::trace::gzip::gzip_stored(a.as_bytes());
     let back = ofl_w3::trace::diff::decode_trace_bytes(&gz).expect("gunzip");
-    assert_eq!(back, a);
+    assert!(
+        back == a,
+        "gunzip must restore the trace; {}",
+        first_divergence(&a, &back)
+    );
     let plain = ofl_w3::trace::diff::decode_trace_bytes(a.as_bytes()).expect("plain passthrough");
-    assert_eq!(plain, a);
+    assert!(
+        plain == a,
+        "plain traces pass through unchanged; {}",
+        first_divergence(&a, &plain)
+    );
 }
