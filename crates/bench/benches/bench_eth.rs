@@ -4,7 +4,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ofl_eth::chain::{Chain, ChainConfig};
 use ofl_eth::contracts::{cid_storage_init_code, CidStorage};
-use ofl_eth::secp256k1::{public_key, recover, sign, verify};
+use ofl_eth::secp256k1::{
+    g_mul, mul_add_g, public_key, recover, sign, verify, Fe, Jacobian, Scalar,
+};
 use ofl_eth::tx::{sign_tx, SignedTx, TxRequest};
 use ofl_eth::wallet::Wallet;
 use ofl_primitives::u256::U256;
@@ -26,6 +28,23 @@ fn bench_ecdsa(c: &mut Criterion) {
     group.bench_function("recover", |b| {
         b.iter(|| recover(black_box(&hash), black_box(&sig)).unwrap())
     });
+    // The layers under sign and recover: per-owner wallet key derivation
+    // (comb `k·G` plus one affine conversion), the joint `u1·R + u2·G`
+    // ladder, and the field and scalar kernels it is built from.
+    group.bench_function("public_key", |b| {
+        b.iter(|| public_key(black_box(&key)).unwrap())
+    });
+    let u1 = Scalar::new(U256::from_be_bytes(&keccak256(b"u1")));
+    let u2 = Scalar::new(U256::from_be_bytes(&keccak256(b"u2")));
+    let r_point = Jacobian::from_affine(&g_mul(&Scalar::new(key)).to_affine());
+    group.bench_function("mul_add_g", |b| {
+        b.iter(|| mul_add_g(black_box(&r_point), black_box(&u1), black_box(&u2)))
+    });
+    let fa = Fe::new(U256::from_be_bytes(&keccak256(b"fa")));
+    let fb = Fe::new(U256::from_be_bytes(&keccak256(b"fb")));
+    group.bench_function("fe_mul", |b| b.iter(|| black_box(fa).mul(black_box(fb))));
+    group.bench_function("fe_inv", |b| b.iter(|| black_box(fa).inv().unwrap()));
+    group.bench_function("scalar_inv", |b| b.iter(|| black_box(u1).inv().unwrap()));
     group.finish();
 }
 

@@ -563,7 +563,12 @@ impl Chain {
     }
 
     /// EIP-1559 base fee update: ±1/8 proportional to deviation from the
-    /// half-full target.
+    /// half-full target, and at least 1 wei up on an over-full block.
+    ///
+    /// One deviation from the specification (geth's and bor's
+    /// `CalcBaseFee`): a decrease stops at a 7-wei floor instead of
+    /// reaching zero. `base_fee_matches_the_eip1559_reference` pins this
+    /// against a transcription of the reference.
     fn update_base_fee(&mut self, gas_used: u64) {
         let target = self.config.gas_limit / 2;
         if gas_used == target {
@@ -931,6 +936,7 @@ mod tests {
     use crate::secp256k1;
     use crate::tx::{sign_tx, TxRequest};
     use ofl_primitives::wei_per_eth;
+    use proptest::prelude::*;
 
     fn key(i: u64) -> U256 {
         U256::from(1_000_000 + i)
@@ -958,6 +964,92 @@ mod tests {
             value,
             data: Vec::new(),
         }
+    }
+
+    /// `compute_next_base_fee` (bor's `eip1559.go`, SNIPPETS.md Snippet 2):
+    /// elasticity 2, change denominator 8, saturating at zero.
+    fn compute_next_base_fee(current: U256, gas_used: U256, gas_limit: U256) -> U256 {
+        let gas_target = gas_limit.checked_div(&U256::from(2u64)).unwrap();
+        let denominator = U256::from(8u64);
+        if gas_used == gas_target {
+            current
+        } else if gas_used > gas_target {
+            let x = current.checked_mul(&(gas_used - gas_target)).unwrap();
+            let y = x.checked_div(&gas_target).unwrap();
+            current + y.checked_div(&denominator).unwrap().max(U256::ONE)
+        } else {
+            let x = current.checked_mul(&(gas_target - gas_used)).unwrap();
+            let y = x.checked_div(&gas_target).unwrap();
+            current
+                .checked_sub(&y.checked_div(&denominator).unwrap())
+                .unwrap_or(U256::ZERO)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn base_fee_matches_the_eip1559_reference(
+            // Shifting a random u128 right spreads bases over every
+            // magnitude, down to the single wei where `max(delta, 1)` acts.
+            base in (any::<u128>(), 0u32..128).prop_map(|(b, s)| b >> s),
+            limit in 2u64..60_000_000,
+            used in any::<u64>(),
+            pick in 0u8..4,
+        ) {
+            // Exact target, empty and full blocks get their own picks.
+            let gas_used = match pick {
+                0 => limit / 2,
+                1 => 0,
+                2 => limit,
+                _ => used % (limit + 1),
+            };
+            let mut chain = Chain::new(
+                ChainConfig {
+                    gas_limit: limit,
+                    initial_base_fee: U256::from_u128(base),
+                    ..ChainConfig::default()
+                },
+                &[],
+            );
+            chain.update_base_fee(gas_used);
+            let reference = compute_next_base_fee(
+                U256::from_u128(base),
+                U256::from(gas_used),
+                U256::from(limit),
+            );
+            if gas_used < limit / 2 {
+                prop_assert_eq!(chain.base_fee(), reference.max(U256::from(7u64)));
+            } else {
+                prop_assert_eq!(chain.base_fee(), reference);
+            }
+        }
+    }
+
+    #[test]
+    fn high_s_twin_is_rejected_at_submit() {
+        let mut chain = funded_chain(2);
+        let to = addr_of(&key(1));
+        let tx = sign_tx(transfer_req(&chain, 0, to, U256::ONE), &key(0)).unwrap();
+        let mut twin = tx.clone();
+        twin.signature.s = secp256k1::N.wrapping_sub(&tx.signature.s);
+        twin.signature.recovery_id ^= 1;
+        // `ecrecover` itself stays permissive: the twin names the same
+        // sender, under a different transaction hash.
+        let signing_hash = tx.request.signing_hash().0;
+        assert_eq!(
+            secp256k1::recover_address(&signing_hash, &twin.signature),
+            Ok(addr_of(&key(0)))
+        );
+        assert_ne!(twin.hash(), tx.hash());
+        assert!(chain.submit(tx).is_ok());
+        assert_eq!(
+            chain.submit(twin),
+            Err(ChainError::Tx(TxError::Signature(
+                secp256k1::EcdsaError::InvalidSignature
+            )))
+        );
     }
 
     #[test]

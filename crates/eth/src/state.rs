@@ -143,9 +143,10 @@ impl State {
         }
     }
 
-    /// Full snapshot for transaction-level rollback. Account maps at our
-    /// scale are tiny (tens of entries), so a clone is simpler and safer
-    /// than a journal.
+    /// Full snapshot for transaction-level rollback: a clone of every
+    /// account. That is not small — a fleet-8k shard holds about 2k
+    /// accounts plus the storage of its contracts — and it is paid per
+    /// executed transaction; a checkpoint/revert journal would avoid it.
     pub fn snapshot(&self) -> State {
         self.clone()
     }

@@ -185,10 +185,11 @@ impl SignedTx {
         H256::from_bytes(keccak256(&self.encode()))
     }
 
-    /// Recovers the sender address from the signature.
+    /// Recovers the sender address from the signature. High-`s`
+    /// signatures are rejected (EIP-2), so no transaction has a malleated
+    /// twin under another hash.
     pub fn recover_sender(&self) -> Result<H160, TxError> {
-        let hash = self.request.signing_hash();
-        Ok(secp256k1::recover_address(&hash.0, &self.signature)?)
+        recover_low_s(&self.request.signing_hash(), &self.signature)
     }
 
     /// Verifies the signature against a claimed sender.
@@ -291,8 +292,17 @@ impl LegacyTx {
         let recovery_id =
             Self::recovery_id_from_v(self.chain_id, v).ok_or(TxError::MalformedBody)?;
         let sig = Signature { r, s, recovery_id };
-        Ok(secp256k1::recover_address(&self.signing_hash().0, &sig)?)
+        recover_low_s(&self.signing_hash(), &sig)
     }
+}
+
+/// `ecrecover` under EIP-2: a signature with `s > n/2` is
+/// [`EcdsaError::InvalidSignature`] before any curve arithmetic.
+fn recover_low_s(hash: &H256, sig: &Signature) -> Result<H160, TxError> {
+    if !sig.is_low_s() {
+        return Err(TxError::Signature(EcdsaError::InvalidSignature));
+    }
+    Ok(secp256k1::recover_address(&hash.0, sig)?)
 }
 
 /// The deterministic contract address for a CREATE by `sender` at `nonce`:
@@ -353,6 +363,26 @@ mod tests {
         if let Ok(addr) = tampered.recover_sender() {
             assert_ne!(addr, honest);
         }
+    }
+
+    #[test]
+    fn legacy_high_s_twin_is_rejected() {
+        let legacy = LegacyTx {
+            chain_id: 1,
+            nonce: 0,
+            gas_price: U256::from(20_000_000_000u64),
+            gas_limit: 21_000,
+            to: None,
+            value: U256::ZERO,
+            data: vec![],
+        };
+        let sig = secp256k1::sign(&U256::from(0xbeefu64), &legacy.signing_hash().0).unwrap();
+        let twin_v = legacy.v(sig.recovery_id ^ 1);
+        let high_s = secp256k1::N.wrapping_sub(&sig.s);
+        assert_eq!(
+            legacy.recover_sender(twin_v, sig.r, high_s),
+            Err(TxError::Signature(EcdsaError::InvalidSignature))
+        );
     }
 
     #[test]

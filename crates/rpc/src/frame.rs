@@ -1509,7 +1509,7 @@ mod tests {
                 frames_served: 900,
                 metrics: vec![
                     ("rpcd.sessions".to_string(), 3),
-                    ("sub.queue_depth.1".to_string(), 12),
+                    ("sub.routed.1".to_string(), 12),
                 ],
             },
         ];

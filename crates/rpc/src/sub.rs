@@ -134,7 +134,7 @@ impl SubscriptionHub {
         self.subs.retain(|entry| entry.id != sub_id);
         let removed = self.subs.len() < before;
         if removed {
-            ofl_trace::metrics::gauge_set(&format!("sub.queue_depth.{sub_id}"), 0);
+            ofl_trace::metrics::gauge_set(&format!("sub.routed.{sub_id}"), 0);
         }
         removed
     }
@@ -160,10 +160,13 @@ impl SubscriptionHub {
     /// Routes drained chain events to the live subscriptions: events in
     /// publish order, fan-out within an event in subscription-id order.
     ///
-    /// Routing maintains each subscription's `sub.queue_depth.<id>` gauge
-    /// in the `ofl_trace::metrics` registry and logs a one-shot warning
-    /// the first time a subscription's depth passes the high-water mark —
-    /// the observe-only half of backpressure (no event is ever dropped).
+    /// Routing maintains each subscription's `sub.routed.<id>` gauge in
+    /// the `ofl_trace::metrics` registry: the number of notifications
+    /// routed to it so far. It only grows (unsubscribing zeroes it); it is
+    /// not a queue depth, since no buffer is drained here. Routing also logs
+    /// a one-shot warning the first time that count passes the high-water
+    /// mark — the observe-only half of backpressure (no event is ever
+    /// dropped).
     pub fn route(&mut self, events: &[(u64, ChainEvent)]) -> Vec<Notification> {
         let mut out = Vec::new();
         for (seq, event) in events {
@@ -181,7 +184,7 @@ impl SubscriptionHub {
         if !out.is_empty() {
             for entry in &mut self.subs {
                 ofl_trace::metrics::gauge_set(
-                    &format!("sub.queue_depth.{}", entry.id),
+                    &format!("sub.routed.{}", entry.id),
                     entry.depth.min(i64::MAX as u64) as i64,
                 );
                 if self.high_water > 0 && entry.depth > self.high_water && !entry.warned {
@@ -380,7 +383,7 @@ mod tests {
 
     #[test]
     fn depth_gauge_mirrors_routing_and_unsubscribe_zeroes_it() {
-        // The `sub.queue_depth.<id>` gauges live in the process-global
+        // The `sub.routed.<id>` gauges live in the process-global
         // metrics registry, and other tests in this binary route hubs with
         // low subscription ids concurrently. Burn ids up to a high value no
         // other test reaches, so this test's gauge is contention-free.
@@ -391,12 +394,12 @@ mod tests {
         let id = hub.subscribe(SubscriptionKind::PendingTxs); // id 241
         hub.route(&[(0, pending_event(0)), (1, pending_event(1))]);
         assert_eq!(
-            ofl_trace::metrics::get(&format!("sub.queue_depth.{id}")),
+            ofl_trace::metrics::get(&format!("sub.routed.{id}")),
             Some(ofl_trace::metrics::Metric::Gauge(2))
         );
         assert!(hub.unsubscribe(id));
         assert_eq!(
-            ofl_trace::metrics::get(&format!("sub.queue_depth.{id}")),
+            ofl_trace::metrics::get(&format!("sub.routed.{id}")),
             Some(ofl_trace::metrics::Metric::Gauge(0))
         );
     }
